@@ -553,6 +553,11 @@ def suite_crystal(
 SUITES = ("relations", "form", "crystal", "confluence", "module", "all")
 
 
+def _given(value, default):
+    """The value when one was given (0 included), else the default."""
+    return default if value is None else value
+
+
 def run_suite(
     name: str,
     *,
@@ -575,23 +580,23 @@ def run_suite(
             )
         return reports
     if name == "confluence":
-        return [suite_confluence(seed=seed, max_length=max_length or 5,
-                                 window=window or (-3, 3))]
+        return [suite_confluence(seed=seed, max_length=_given(max_length, 5),
+                                 window=_given(window, (-3, 3)))]
     if name == "relations":
-        return [suite_relations(comp_range=m_range or (-2, 2),
-                                max_length=max_length or 2,
-                                window=window or (-2, 2), seed=seed)]
+        return [suite_relations(comp_range=_given(m_range, (-2, 2)),
+                                max_length=_given(max_length, 2),
+                                window=_given(window, (-2, 2)), seed=seed)]
     if name == "form":
-        return [suite_form(seed=seed, max_length=max_length or 3,
-                           window=window or (-2, 2), corrupt=corrupt)]
+        return [suite_form(seed=seed, max_length=_given(max_length, 3),
+                           window=_given(window, (-2, 2)), corrupt=corrupt)]
     if name == "module":
         return [suite_module(weights=weights or (1, 2, -1), d=d,
-                             max_length=max_length or 3, window=window or (-2, 2),
-                             comp_range=m_range or (-2, 2), seed=seed, corrupt=corrupt)]
+                             max_length=_given(max_length, 3), window=_given(window, (-2, 2)),
+                             comp_range=_given(m_range, (-2, 2)), seed=seed, corrupt=corrupt)]
     if name == "crystal":
         return [suite_crystal(weights=weights or (1, 3), d=d,
-                              max_length=max_length or 3, window=window or (-2, 2),
-                              m_range=m_range or (-3, 3), seed=seed, corrupt=corrupt)]
+                              max_length=_given(max_length, 3), window=_given(window, (-2, 2)),
+                              m_range=_given(m_range, (-3, 3)), seed=seed, corrupt=corrupt)]
     raise ValueError(f"unknown suite {name!r}")
 
 
@@ -605,6 +610,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         return (int(a), int(b))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
+
+
+def _parse_max_length(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -661,7 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_int_list, default=None, dest="hw",
                    help="comma-separated highest weights")
     p.add_argument("--d", type=int, default=0, dest="dw")
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument("--max-length", type=_parse_max_length, default=None)
     p.add_argument("--window", type=_parse_range, default=None)
     p.add_argument("--m", type=_parse_range, default=None, dest="m_range")
     p.add_argument("--corrupt", choices=("lattice", "map", "gram"), default=None,

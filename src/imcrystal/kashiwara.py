@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .qcoeff import Coeff, g_coeff, g_coeff_bar
-from .qalgebra import Element, Monomial, enumerate_all, format_element
+from .qalgebra import (
+    Element,
+    Monomial,
+    _linear_sum,
+    enumerate_all,
+    format_element,
+    normalize_word,
+)
 
 PSI = "psi"
 PHI = "phi"
@@ -57,41 +64,41 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
     hit = _OMEGA_CACHE.get(key)
     if hit is not None:
         return hit
-    if not mono:
-        out = Element.zero()
-    else:
+    pieces: list[tuple[Element, Coeff]] = []
+    if mono:
         m, rest = mono[0], mono[1:]
-        out = Element.zero()
         if kind == PSI:
             if p == -m:
-                out = Element.monomial(rest, Coeff.gamma_power(2 * p))
+                pieces.append((normalize_word(rest), Coeff.gamma_power(2 * p)))
             rmax = p + max(rest) if rest else -1
             for r in range(rmax + 1):
                 sub = omega_mono(PSI, p - r, rest)
-                if not sub.is_zero:
+                if sub:
                     c = Coeff.from_qrat(g_coeff(r)) * Coeff.gamma_power(2 * r)
-                    out = out + Element.monomial((m + r,)) * sub * c
+                    pieces.extend(
+                        (normalize_word((m + r,) + w), d * c) for w, d in sub._terms.items()
+                    )
         elif kind == PHI:
             if p == -m:
-                out = Element.monomial(rest, Coeff.gamma_power(-2 * p))
+                pieces.append((normalize_word(rest), Coeff.gamma_power(-2 * p)))
             rmax = -min(rest) - p if rest else -1
             for r in range(rmax + 1):
                 sub = omega_mono(PHI, p + r, rest)
-                if not sub.is_zero:
+                if sub:
                     c = Coeff.from_qrat(g_coeff_bar(r)) * Coeff.gamma_power(2 * r)
-                    out = out + Element.monomial((m - r,)) * sub * c
+                    pieces.extend(
+                        (normalize_word((m - r,) + w), d * c) for w, d in sub._terms.items()
+                    )
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
+    out = _linear_sum(pieces)
     _OMEGA_CACHE[key] = out
     return out
 
 
 def omega_apply(kind: str, p: int, e: Element) -> Element:
     """Linear extension over an element; gamma in coefficients commutes."""
-    out = Element.zero()
-    for mono, c in e.items():
-        out = out + omega_mono(kind, p, mono) * c
-    return out
+    return _linear_sum((omega_mono(kind, p, mono), c) for mono, c in e._terms.items())
 
 
 # ---------------------------------------------------------------------------

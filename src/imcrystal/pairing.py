@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
-from .qalgebra import Element, Monomial, Weight, enumerate_basis
+from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis
 from .kashiwara import PSI, omega_mono
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
@@ -34,9 +34,9 @@ def _pair_monos(ma: Monomial, mb: Monomial) -> Coeff:
     if hit is not None:
         return hit
     image = omega_mono(PSI, -ma[0], mb).specialize_gamma_one()
-    out = Coeff.zero()
-    for mono, c in image.items():
-        out = out + c * _pair_monos(ma[1:], mono)
+    out = _linear_sum(
+        (Element.scalar(_pair_monos(ma[1:], mono)), c) for mono, c in image._terms.items()
+    ).coefficient(())
     _PAIR_CACHE[key] = out
     return out
 
@@ -45,13 +45,11 @@ def pair(a: Element, b: Element) -> Coeff:
     """Bilinear form value; inputs must be gamma-free (the gamma = 1 world)."""
     if not (a.is_gamma_free() and b.is_gamma_free()):
         raise ValueError("the form is evaluated at gamma = 1; specialize first")
-    out = Coeff.zero()
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            v = _pair_monos(ma, mb)
-            if not v.is_zero:
-                out = out + ca * cb * v
-    return out
+    return _linear_sum(
+        (Element.scalar(_pair_monos(ma, mb)), ca * cb)
+        for ma, ca in a._terms.items()
+        for mb, cb in b._terms.items()
+    ).coefficient(())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .qcoeff import Coeff, QRat, format_coeff
 
@@ -59,6 +59,13 @@ class Element:
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None):
         self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero}
+
+    @staticmethod
+    def _of(terms: dict[Monomial, Coeff]) -> Element:
+        """Wrap a map already free of zero coefficients, without copying it."""
+        out = Element.__new__(Element)
+        out._terms = terms
+        return out
 
     @staticmethod
     def zero() -> Element:
@@ -131,12 +138,14 @@ class Element:
                 other = Coeff.rational(other)
             elif isinstance(other, QRat):
                 other = Coeff.from_qrat(other)
-            return Element({m: c * other for m, c in self._terms.items()})
-        out = Element.zero()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                out = out + normalize_word(m1 + m2) * (c1 * c2)
-        return out
+            if other.is_zero:
+                return Element.zero()
+            return Element._of({m: c * other for m, c in self._terms.items()})
+        return _linear_sum(
+            (normalize_word(m1 + m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     def __rmul__(self, other: Coeff | QRat | int | Fraction) -> Element:
         return self * other
@@ -173,6 +182,18 @@ class Element:
 
 def _display_key(mono: Monomial) -> tuple:
     return (len(mono), tuple(-i for i in mono))
+
+
+def _linear_sum(pieces: Iterable[tuple[Element, Coeff | None]]) -> Element:
+    """Sum of element * coeff over the pieces (None stands for 1), added up
+    in one dict; the pieces themselves are left untouched."""
+    acc: dict[Monomial, Coeff] = {}
+    for e, c in pieces:
+        for m, d in e._terms.items():
+            if c is not None:
+                d = d * c
+            acc[m] = acc[m] + d if m in acc else d
+    return Element._of({m: d for m, d in acc.items() if d})
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +267,7 @@ def normalize_word(word: Sequence[int], strategy: str = "leftmost") -> Element:
         if missing:
             stack.extend(missing)
             continue
-        total = Element.zero()
-        for c, pw in pieces:
-            total = total + _CACHE[(strategy, pw)] * c
-        _CACHE[k] = total
+        _CACHE[k] = _linear_sum((_CACHE[(strategy, pw)], c) for c, pw in pieces)
         stack.pop()
     return _CACHE[key]
 

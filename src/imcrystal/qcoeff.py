@@ -14,6 +14,21 @@ q-adic valuation (in half units) used for regularity-at-zero tests.
 
 Exponents of both q and gamma are always counted in half units: ``q**2``
 has half-exponent 4, ``gamma**(1/2)`` has half-exponent 1.
+
+Every value the verification suites produce is a Laurent polynomial
+(``den == (1,)``), and two invariants let products and quotients of such
+values skip the general normalisation in ``_canon``:
+
+* Gauss's lemma: a product of primitive integer polynomials is primitive.
+  Two canonical ``num`` tuples also have positive leading coefficients and
+  nonzero constant terms, so their product is again a canonical ``num``.
+* Exact integer division: if a primitive ``b`` divides a primitive ``a``
+  over the rationals, the quotient is a primitive integer polynomial (with
+  positive leading coefficient and nonzero constant term when ``a`` and
+  ``b`` have them).  So long division in the integers, which stops at the
+  first inexact step or nonzero remainder, either yields the canonical
+  ``num`` of the quotient or shows the quotient is not Laurent; only then
+  does the gcd-based path run.
 """
 
 from __future__ import annotations
@@ -43,14 +58,45 @@ def _ptrim(p: Iterable[int]) -> tuple[int, ...]:
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
+    """Product of two polynomials given without trailing zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
         return ()
+    if len(a) == 1:
+        x = a[0]
+        return b if x == 1 else tuple([x * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
-    return _ptrim(out)
+    return tuple(out)
+
+
+def _pquo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Quotient a/b in the integer polynomials, or None if b does not
+    divide a there; operands are given without trailing zeros."""
+    if b == (1,):
+        return a
+    n = len(a) - len(b) + 1
+    if n < 1:
+        return None
+    rem = list(a)
+    lead = b[-1]
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        c, r = divmod(rem[i + len(b) - 1], lead)
+        if r:
+            return None
+        if c:
+            out[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    if any(rem[: len(b) - 1]):
+        return None
+    return tuple(out)
 
 
 def _pcontent(p: tuple[int, ...]) -> int:
@@ -58,20 +104,6 @@ def _pcontent(p: tuple[int, ...]) -> int:
     for x in p:
         c = math.gcd(c, x)
     return c
-
-
-def _pdiv_exact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient a/b for polynomials known to divide exactly."""
-    fa = [Fraction(x) for x in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for i in range(len(out) - 1, -1, -1):
-        c = fa[i + len(b) - 1] / lead
-        out[i] = c
-        for j, y in enumerate(b):
-            fa[i + j] -= c * y
-    assert all(x == 0 for x in fa[: len(b) - 1]) and all(c.denominator == 1 for c in out)
-    return _ptrim(int(c) for c in out)
 
 
 def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -194,8 +226,20 @@ class QRat:
         return self + (-other)
 
     def __mul__(self, other: QRat) -> QRat:
-        if self.is_zero or other.is_zero:
+        if self is _QRAT_ONE:
+            return other
+        if other is _QRAT_ONE:
+            return self
+        if not self.scale or not other.scale:
             return _QRAT_ZERO
+        if self.den == (1,) and other.den == (1,):
+            # canonical as it stands, by Gauss's lemma (module docstring)
+            return QRat(
+                self.scale * other.scale,
+                self.shift + other.shift,
+                _pmul(self.num, other.num),
+                (1,),
+            )
         return _canon(
             self.scale * other.scale,
             self.shift + other.shift,
@@ -208,6 +252,11 @@ class QRat:
             raise CoefficientError("division by zero")
         if self.is_zero:
             return _QRAT_ZERO
+        if self.den == (1,) and other.den == (1,):
+            num = _pquo(self.num, other.num)
+            if num is not None:
+                # canonical as it stands, by exact division (module docstring)
+                return QRat(self.scale / other.scale, self.shift - other.shift, num, (1,))
         return _canon(
             self.scale / other.scale,
             self.shift - other.shift,
@@ -270,12 +319,9 @@ def _canon(scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ..
     if den != (1,) and num != (1,):
         g = _pgcd(num, den)
         if g != (1,):
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-            if num[-1] < 0:
-                scale, num = -scale, tuple(-x for x in num)
-            if den[-1] < 0:
-                scale, den = -scale, tuple(-x for x in den)
+            # exact, primitive and with positive leading terms, by Gauss's lemma
+            num = _pquo(num, g)
+            den = _pquo(den, g)
     return QRat(scale, shift, num, den)
 
 
@@ -342,6 +388,13 @@ class Coeff:
     def __init__(self, terms: dict[int, QRat] | None = None):
         self._terms = {g: r for g, r in (terms or {}).items() if not r.is_zero}
 
+    @staticmethod
+    def _of(terms: dict[int, QRat]) -> Coeff:
+        """Wrap a map already free of zero values, without copying it."""
+        out = Coeff.__new__(Coeff)
+        out._terms = terms
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -392,36 +445,44 @@ class Coeff:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> Coeff:
-        return Coeff({g: -r for g, r in self._terms.items()})
+        return Coeff._of({g: -r for g, r in self._terms.items()})
 
     def __add__(self, other: Coeff) -> Coeff:
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for g, r in other._terms.items():
-            s = out.get(g, QRat.zero()) + r
+            s = out[g] + r if g in out else r
             if s.is_zero:
-                out.pop(g, None)
+                del out[g]
             else:
                 out[g] = s
-        return Coeff(out)
+        return Coeff._of(out)
 
     def __sub__(self, other: Coeff) -> Coeff:
         return self + (-other)
 
     def __mul__(self, other: Coeff | QRat | Rational) -> Coeff:
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
-        elif isinstance(other, QRat):
-            other = Coeff.from_qrat(other)
+        if not isinstance(other, Coeff):
+            other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:
+            # one gamma term each: a single product, nonzero as both factors are
+            (g1, r1), = a.items()
+            (g2, r2), = b.items()
+            return Coeff._of({g1 + g2: r1 * r2})
         out: dict[int, QRat] = {}
-        for g1, r1 in self._terms.items():
-            for g2, r2 in other._terms.items():
+        for g1, r1 in a.items():
+            for g2, r2 in b.items():
                 g = g1 + g2
-                s = out.get(g, QRat.zero()) + r1 * r2
+                s = out[g] + r1 * r2 if g in out else r1 * r2
                 if s.is_zero:
-                    out.pop(g, None)
+                    del out[g]
                 else:
                     out[g] = s
-        return Coeff(out)
+        return Coeff._of(out)
 
     __rmul__ = __mul__
 
@@ -435,7 +496,7 @@ class Coeff:
         if len(other._terms) != 1:
             raise CoefficientError("division only by gamma-homogeneous values")
         (g0, r0), = other._terms.items()
-        return Coeff({g - g0: r / r0 for g, r in self._terms.items()})
+        return Coeff._of({g - g0: r / r0 for g, r in self._terms.items()})
 
     # -- inspection ----------------------------------------------------------
 

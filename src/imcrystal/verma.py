@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .qcoeff import Coeff, Q_DIFF, QRat, quantum_int
-from .qalgebra import Element, Monomial, format_element
+from .qalgebra import Element, Monomial, _linear_sum, format_element, normalize_word
 from .kashiwara import PSI, omega_apply
 
 
@@ -156,12 +156,12 @@ def _act_h_elem(k: int, e: Element) -> Element:
     """h[k] on the algebra part: shift one factor at a time by k with
     weight -[2k]/k; the highest-weight vector itself is killed."""
     coeff = Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k)
-    out = Element.zero()
-    for mono, c in e.items():
-        for pos in range(len(mono)):
-            shifted = mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]
-            out = out + Element.monomial(shifted, c * coeff)
-    return out
+    shifted = _linear_sum(
+        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), c)
+        for mono, c in e._terms.items()
+        for pos in range(len(mono))
+    )
+    return shifted * coeff
 
 
 def act_h(k: int, v: VermaVector) -> VermaVector:
@@ -177,22 +177,22 @@ def _k_eigen_halfexp(lam: HighestWeight, length: int) -> int:
 
 def act_K(v: VermaVector, power: int = 1) -> VermaVector:
     def fn(i: int, e: Element) -> Element:
-        out = Element.zero()
-        for mono, c in e.items():
-            half = power * _k_eigen_halfexp(v.ambient[i], len(mono))
-            out = out + Element({mono: c * Coeff.q_power(half)})
-        return out
+        lam = v.ambient[i]
+        return Element._of({
+            mono: c * Coeff.q_power(power * _k_eigen_halfexp(lam, len(mono)))
+            for mono, c in e._terms.items()
+        })
 
     return v.map_components(fn)
 
 
 def act_D(v: VermaVector, power: int = 1) -> VermaVector:
     def fn(i: int, e: Element) -> Element:
-        out = Element.zero()
-        for mono, c in e.items():
-            half = 2 * power * (v.ambient[i].d + sum(mono))
-            out = out + Element({mono: c * Coeff.q_power(half)})
-        return out
+        d = v.ambient[i].d
+        return Element._of({
+            mono: c * Coeff.q_power(2 * power * (d + sum(mono)))
+            for mono, c in e._terms.items()
+        })
 
     return v.map_components(fn)
 
@@ -270,8 +270,8 @@ def phi_component(p: int) -> HPolynomial:
 
 def _apply_hpoly(hp: HPolynomial, mono: Monomial, lam: HighestWeight) -> Element:
     """Apply K^kpow * (h polynomial) to a monomial vector of one component."""
-    out = Element.zero()
     kfactor = Coeff.q_power(hp.kpow * _k_eigen_halfexp(lam, len(mono)))
+    pieces = []
     for hmono, qr in hp.terms.items():
         vec = Element({mono: Coeff.one()})
         for j in hmono:
@@ -279,8 +279,8 @@ def _apply_hpoly(hp: HPolynomial, mono: Monomial, lam: HighestWeight) -> Element
             if vec.is_zero:
                 break
         if not vec.is_zero:
-            out = out + vec * (Coeff.from_qrat(qr) * kfactor)
-    return out
+            pieces.append((vec, Coeff.from_qrat(qr) * kfactor))
+    return _linear_sum(pieces)
 
 
 _DIFF_CACHE: dict[tuple[int, Monomial, int], Element] = {}
@@ -302,7 +302,7 @@ def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
         out = _apply_hpoly(hp, mono, lam)
         if p < 0:
             out = out * Coeff.rational(-1)
-        out = Element({m: c / Coeff.from_qrat(Q_DIFF) for m, c in out.items()})
+        out = Element._of({m: c / Q_DIFF for m, c in out._terms.items()})
     _DIFF_CACHE[key] = out
     return out
 
@@ -312,17 +312,10 @@ def current_commutator(p: int, v: VermaVector) -> VermaVector:
     of the commutator of a raising and a lowering generator whose indices
     sum to p, and the insertion step of the raising action."""
     return v.map_components(
-        lambda i, e: _elem_sum(
-            _psi_phi_diff(p, mono, v.ambient[i]) * c for mono, c in e.items()
+        lambda i, e: _linear_sum(
+            (_psi_phi_diff(p, mono, v.ambient[i]), c) for mono, c in e._terms.items()
         )
     )
-
-
-def _elem_sum(parts) -> Element:
-    out = Element.zero()
-    for part in parts:
-        out = out + part
-    return out
 
 
 _XPLUS_CACHE: dict[tuple[int, Monomial, int], Element] = {}
@@ -337,10 +330,11 @@ def _xplus_mono(k: int, mono: Monomial, lam: HighestWeight) -> Element:
     if hit is not None:
         return hit
     head, rest = mono[0], mono[1:]
-    out = _psi_phi_diff(k + head, rest, lam)
-    tail = _xplus_mono(k, rest, lam)
-    if not tail.is_zero:
-        out = out + Element.monomial((head,)) * tail
+    pieces = [(_psi_phi_diff(k + head, rest, lam), None)]
+    pieces.extend(
+        (normalize_word((head,) + m), c) for m, c in _xplus_mono(k, rest, lam)._terms.items()
+    )
+    out = _linear_sum(pieces)
     _XPLUS_CACHE[key] = out
     return out
 
@@ -348,10 +342,7 @@ def _xplus_mono(k: int, mono: Monomial, lam: HighestWeight) -> Element:
 def act_xplus(k: int, v: VermaVector) -> VermaVector:
     def fn(i: int, e: Element) -> Element:
         lam = v.ambient[i]
-        out = Element.zero()
-        for mono, c in e.items():
-            out = out + _xplus_mono(k, mono, lam) * c
-        return out
+        return _linear_sum((_xplus_mono(k, mono, lam), c) for mono, c in e._terms.items())
 
     return v.map_components(fn)
 

@@ -10,6 +10,7 @@ from imcrystal.cli import (
     EXIT_PASS,
     EXIT_VERIFY_FAIL,
     main,
+    run_suite,
 )
 from imcrystal.qalgebra import parse_element
 
@@ -141,3 +142,19 @@ class TestVerify:
     def test_usage_error_exit_2(self):
         code, _, _ = run("verify", "nonsense")
         assert code == EXIT_PARSE
+
+    def test_max_length_below_one_rejected(self):
+        for value in ("0", "-1"):
+            code, out, err = run("verify", "confluence", "--max-length", value)
+            assert code == EXIT_PARSE and out == ""
+            assert "--max-length" in err and "at least 1" in err
+
+    def test_given_bounds_are_honoured(self):
+        code, out, _ = run("verify", "confluence", "--max-length", "1", "--format", "json")
+        assert code == EXIT_PASS
+        assert json.loads(out)["reports"][0]["bounds"]["max_length"] == 1
+        # a zero bound from the library is run and reported, not replaced
+        (report,) = run_suite("confluence", max_length=0)
+        assert report.bounds["max_length"] == 0
+        (report,) = run_suite("relations", max_length=1, m_range=(0, 0))
+        assert report.bounds["max_length"] == 1 and report.bounds["components"] == [0, 0]

@@ -19,7 +19,9 @@ from imcrystal.qalgebra import (
     rewrite_once,
     termination_measure,
     weight_of,
+    _linear_sum,
 )
+from imcrystal.verma import HighestWeight, _xplus_mono
 
 Q2 = Coeff.q_power(4)
 
@@ -194,3 +196,70 @@ def test_format_parse_round_trip(word):
 def test_round_trip_with_gamma_coefficients(word, qh, gh):
     e = normalize_word(word) * (Coeff.q_power(qh) * Coeff.gamma_power(gh) * 3)
     assert parse_element(format_element(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# the in-place accumulator behind every linear fold
+
+small_coeffs = st.builds(
+    lambda qh, gh, n: Coeff.q_power(qh) * Coeff.gamma_power(gh) * n,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-1, max_value=1),
+    st.sampled_from([-2, -1, 1, 2]),
+)
+small_elements = st.builds(
+    lambda words, cs: Element({w: c for w, c in zip(words, cs)}),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3).map(tuple), max_size=4),
+    st.lists(small_coeffs, min_size=4, max_size=4),
+)
+pieces = st.lists(st.tuples(small_elements, st.none() | small_coeffs), max_size=6)
+
+
+def no_stored_zero(e):
+    return all(
+        not c.is_zero and all(not r.is_zero for r in c._terms.values())
+        for c in e._terms.values()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pieces)
+def test_linear_sum_equals_left_fold(ps):
+    folded = Element.zero()
+    for e, c in ps:
+        folded = folded + (e if c is None else e * c)
+    got = _linear_sum(ps)
+    assert got == folded
+    assert no_stored_zero(got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pieces)
+def test_linear_sum_cancelling_to_zero(ps):
+    neg = [(e, -(c if c is not None else Coeff.one())) for e, c in ps]
+    got = _linear_sum(ps + neg)
+    assert got == Element.zero() and got._terms == {}
+
+
+@settings(max_examples=50, deadline=None)
+@given(short_words, short_words, small_coeffs)
+def test_built_elements_store_no_zero(a, b, c):
+    ea, eb = normalize_word(a), normalize_word(b)
+    for e in (ea * eb, ea * c, ea * eb * c - ea * eb * c, (ea + eb) * (ea - eb)):
+        assert no_stored_zero(e)
+
+
+def test_cached_results_are_not_mutated():
+    word = (0, 2, -1)
+    cached = normalize_word(word)
+    xplus = _xplus_mono(1, (1, 0, -1), HighestWeight(2))
+    before = [(e, dict(e._terms)) for e in (cached, xplus)]
+    for e, _ in before:
+        # accumulations that start from, grow and cancel the cached terms
+        _linear_sum([(e, None), (e, Q2), (e, -Coeff.one())])
+        _linear_sum([(e, None), (e, -Coeff.one())])
+        e * e
+    assert normalize_word(word) is cached
+    assert _xplus_mono(1, (1, 0, -1), HighestWeight(2)) is xplus
+    for e, terms in before:
+        assert e._terms == terms

@@ -11,6 +11,8 @@ from imcrystal.qcoeff import (
     CoefficientError,
     QRat,
     Q_DIFF,
+    _canon,
+    _pmul,
     congruent_mod_q2,
     format_coeff,
     g_coeff,
@@ -234,3 +236,148 @@ def test_format_is_stable(c):
     # identical values print identically (canonical form is unique)
     rebuilt = Coeff.zero() + c
     assert format_coeff(rebuilt) == format_coeff(c)
+
+
+# ---------------------------------------------------------------------------
+# Laurent fast paths against the general _canon path
+
+
+def naive_pmul(a, b):
+    """Dense schoolbook product, trimmed; the reference for _pmul."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def canon_product(a, b):
+    return _canon(a.scale * b.scale, a.shift + b.shift,
+                  naive_pmul(a.num, b.num), naive_pmul(a.den, b.den))
+
+
+def canon_quotient(a, b):
+    return _canon(a.scale / b.scale, a.shift - b.shift,
+                  naive_pmul(a.num, b.den), naive_pmul(a.den, b.num))
+
+
+def as_tuple(r):
+    return (r.scale, r.shift, r.num, r.den)
+
+
+def is_canonical(r):
+    if r.is_zero:
+        return as_tuple(r) == as_tuple(QRat.zero())
+    return all(
+        p[0] != 0 and p[-1] > 0 and math.gcd(*p) == 1 for p in (r.num, r.den)
+    ) and as_tuple(_canon(r.scale, r.shift, r.num, r.den)) == as_tuple(r)
+
+
+@st.composite
+def integer_laurents(draw):
+    """Canonical Laurent QRats with integer coefficients and a rational scale."""
+    terms = draw(st.dictionaries(
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=-5, max_value=5).filter(bool),
+        min_size=1, max_size=5,
+    ))
+    return QRat.from_laurent(terms) * QRat.rational(draw(small_rationals))
+
+
+def laurent_ints(*coeffs, shift=0):
+    return QRat.from_laurent({shift + i: c for i, c in enumerate(coeffs) if c})
+
+
+# 1/(1+q), (1+q^2)/(2-q^(1/2)), q^(-3/2)/(1-q)^2: each carries a denominator
+NON_LAURENT = [
+    QRat.one() / laurent_ints(1, 0, 1),
+    laurent_ints(1, 0, 0, 0, 1) / laurent_ints(2, -1),
+    QRat.q_power(-3) / laurent_ints(1, 0, -2, 0, 1),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_laurents(), integer_laurents())
+def test_laurent_product_matches_canon(a, b):
+    assert as_tuple(a * b) == as_tuple(canon_product(a, b))
+    assert (a * b).den == (1,)
+    one = QRat.one()
+    assert as_tuple(a * one) == as_tuple(one * a) == as_tuple(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_laurents(), integer_laurents())
+def test_exact_laurent_quotient_matches_canon(a, b):
+    ab = a * b
+    assert as_tuple(ab / b) == as_tuple(canon_quotient(ab, b))
+    assert as_tuple(ab / b) == as_tuple(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_laurents(), integer_laurents())
+def test_any_laurent_quotient_matches_canon(a, b):
+    # exact or not: the fast path and the general path agree, and the
+    # result is canonical either way
+    got = a / b
+    assert as_tuple(got) == as_tuple(canon_quotient(a, b))
+    assert is_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_laurents())
+def test_division_by_q_diff_matches_canon(a):
+    assert as_tuple((a * Q_DIFF) / Q_DIFF) == as_tuple(a)
+    assert as_tuple(a / Q_DIFF) == as_tuple(canon_quotient(a, Q_DIFF))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_laurents(), st.sampled_from(NON_LAURENT))
+def test_mixed_operands_match_canon(a, r):
+    for x, y in ((a, r), (r, a), (r, r)):
+        assert as_tuple(x * y) == as_tuple(canon_product(x, y))
+        assert as_tuple(x / y) == as_tuple(canon_quotient(x, y))
+        assert is_canonical(x * y) and is_canonical(x / y)
+
+
+class TestLaurentDivisionCases:
+    def test_inexact_falls_back_to_canon(self):
+        r = QRat.one() / laurent_ints(1, 0, 1)  # 1/(1 + q)
+        assert as_tuple(r) == (Fraction(1), 0, (1,), (1, 0, 1))
+        assert is_canonical(r)
+
+    def test_inexact_with_remainder(self):
+        # (q^2 + 1)/(q + 1) leaves remainder 2
+        a, b = laurent_ints(1, 0, 0, 0, 1), laurent_ints(1, 0, 1)
+        assert as_tuple(a / b) == as_tuple(canon_quotient(a, b))
+        assert (a / b).den == (1, 0, 1)
+
+    def test_by_monomial(self):
+        a = laurent_ints(3, -1, 0, 2, shift=-2)
+        got = a / QRat.q_power(5) / QRat.rational(Fraction(2, 3))
+        assert as_tuple(got) == (a.scale * Fraction(3, 2), a.shift - 5, a.num, (1,))
+
+    def test_by_q_diff(self):
+        q4m1 = laurent_ints(-1, 0, 0, 0, 0, 0, 0, 0, 1, shift=-4)  # q^2 - q^-2
+        assert q4m1 / Q_DIFF == quantum_int(2)
+
+    def test_divisor_lead_not_unit(self):
+        b = laurent_ints(1, 0, 3)  # 1 + 3q
+        a = b * laurent_ints(2, 1, 0, 5)
+        assert as_tuple(a / b) == as_tuple(canon_quotient(a, b))
+        assert (a / b).den == (1,)
+        # not exact over the integers: the step quotient 5/3 is not integral
+        c = laurent_ints(1, 0, 5)
+        assert as_tuple(c / b) == as_tuple(canon_quotient(c, b))
+        assert (c / b).den == b.num
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=13),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=13),
+)
+def test_pmul_matches_dense_product(a, b):
+    a, b = naive_pmul(tuple(a), (1,)), naive_pmul(tuple(b), (1,))  # trimmed
+    assert _pmul(a, b) == naive_pmul(a, b)
