@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .qcoeff import Coeff, CoefficientError, congruent_mod_q2, format_coeff, quantum_int
 from .qalgebra import (
@@ -607,19 +608,27 @@ def run_suite(
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         a, b = text.split(":")
-        return (int(a), int(b))
+        lo, hi = int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: need a <= b")
+    return (lo, hi)
 
 
-def _parse_max_length(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _parse_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -655,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("gram", help="Gram matrix of one weight over a window")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_parse_at_least(0), required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--window", type=_parse_range, default=(-2, 2))
     add_format(p)
@@ -676,7 +685,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_int_list, default=None, dest="hw",
                    help="comma-separated highest weights")
     p.add_argument("--d", type=int, default=0, dest="dw")
-    p.add_argument("--max-length", type=_parse_max_length, default=None)
+    p.add_argument("--max-length", type=_parse_at_least(1), default=None)
     p.add_argument("--window", type=_parse_range, default=None)
     p.add_argument("--m", type=_parse_range, default=None, dest="m_range")
     p.add_argument("--corrupt", choices=("lattice", "map", "gram"), default=None,

@@ -13,8 +13,9 @@ Generator actions:
 * Heisenberg h[k] (k != 0): sum over factors of the index shift n -> n+k
   weighted by -[2k]/k, and h[k] v = 0;
 * raising x+[k]: structural recursion across the factors, inserting the
-  Cartan-current combination (psi(k+l) - phi(k+l)) / (q - q^-1) whose
-  components are partition sums in the h[k] with an overall K power;
+  Cartan-current combination (psi(k+l) - phi(k+l)) / (q - q^-1), which acts
+  on each factor through the kernel (1 - q^2 u)/(1 - q^-2 u) (psi side) or
+  its image under q -> 1/q (phi side), times a power of K;
 * K and D act diagonally on each weight space;
 * Chevalley generators act through the loop-generator dictionary
   E0 = x[1] K^-1, F0 = K x+[-1], E1 = x+[0], F1 = x[0], K0 = K^-1 (at
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .qcoeff import Coeff, Q_DIFF, QRat, quantum_int
+from .qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
 from .qalgebra import Element, Monomial, _linear_sum, format_element, normalize_word
-from .kashiwara import PSI, omega_apply
+from .kashiwara import PSI, _compositions, omega_apply
 
 
 @dataclass(frozen=True)
@@ -198,96 +199,22 @@ def act_D(v: VermaVector, power: int = 1) -> VermaVector:
 
 
 # ---------------------------------------------------------------------------
-# Cartan currents: psi / phi components as polynomials in the h[k]
-
-
-@dataclass
-class HPolynomial:
-    """K^kpow times a polynomial in commuting h symbols; a term maps the
-    sorted tuple of h indices (with repetition) to its coefficient."""
-
-    kpow: int
-    terms: dict[tuple[int, ...], QRat]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _partitions(n: int) -> Iterable[tuple[int, ...]]:
-    """Partitions of n as weakly decreasing tuples of positive parts."""
-
-    def rec(rest: int, top: int):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, top), 0, -1):
-            for tail in rec(rest - part, part):
-                yield (part,) + tail
-
-    return rec(n, n)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def psi_component(n: int) -> HPolynomial:
-    """Component of the psi current: 0 for n < 0, K for n = 0, otherwise
-    K times the partition sum of products ((q - q^-1) h[j])^m / m!."""
-    if n < 0:
-        return HPolynomial(1, {})
-    terms: dict[tuple[int, ...], QRat] = {}
-    for parts in _partitions(n):
-        coeff = Q_DIFF ** len(parts)
-        mult = 1
-        for j in set(parts):
-            mult *= _factorial(parts.count(j))
-        terms[tuple(sorted(parts))] = coeff * QRat.rational(Fraction(1, mult))
-    return HPolynomial(1, terms)
-
-
-def phi_component(p: int) -> HPolynomial:
-    """Component of the phi current: 0 for p > 0, K^-1 for p = 0, otherwise
-    K^-1 times the partition sum over negative h indices with the sign
-    (-1)^(number of factors)."""
-    if p > 0:
-        return HPolynomial(-1, {})
-    n = -p
-    terms: dict[tuple[int, ...], QRat] = {}
-    for parts in _partitions(n):
-        coeff = (-Q_DIFF) ** len(parts)
-        mult = 1
-        for j in set(parts):
-            mult *= _factorial(parts.count(j))
-        key = tuple(sorted(-j for j in parts))
-        terms[key] = coeff * QRat.rational(Fraction(1, mult))
-    return HPolynomial(-1, terms)
-
-
-def _apply_hpoly(hp: HPolynomial, mono: Monomial, lam: HighestWeight) -> Element:
-    """Apply K^kpow * (h polynomial) to a monomial vector of one component."""
-    kfactor = Coeff.q_power(hp.kpow * _k_eigen_halfexp(lam, len(mono)))
-    pieces = []
-    for hmono, qr in hp.terms.items():
-        vec = Element({mono: Coeff.one()})
-        for j in hmono:
-            vec = _act_h_elem(j, vec)
-            if vec.is_zero:
-                break
-        if not vec.is_zero:
-            pieces.append((vec, Coeff.from_qrat(qr) * kfactor))
-    return _linear_sum(pieces)
+# Cartan currents
 
 
 _DIFF_CACHE: dict[tuple[int, Monomial, int], Element] = {}
 
 
 def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
-    """(psi(p) - phi(p)) / (q - q^-1) applied to a monomial vector."""
+    """(psi(p) - phi(p)) / (q - q^-1) applied to a monomial vector.
+
+    The h[k] act as derivations, so K^-1 psi(z) acts on each factor through
+    the kernel (1 - q^2 u)/(1 - q^-2 u) = q^2 * sum_r g_coeff_bar(r) u^r, where
+    u^r raises that factor's index by r; K phi(z) is its image under q -> 1/q
+    and lowers the indices.  The p-component is a sum over the compositions
+    of |p| into one part per factor; a nonzero part carries 1 - q^4, so the
+    division by q - q^-1 is exact.
+    """
     key = (p, mono, lam.h)
     hit = _DIFF_CACHE.get(key)
     if hit is not None:
@@ -298,11 +225,19 @@ def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
             {mono: Coeff.from_qrat(quantum_int(lam.h - 2 * len(mono)))}
         )
     else:
-        hp = psi_component(p) if p > 0 else phi_component(p)
-        out = _apply_hpoly(hp, mono, lam)
+        sign, kernel = (1, g_coeff_bar) if p > 0 else (-1, g_coeff)
+        # K^(+-1) on the word times the q^(+-2) of each factor's kernel
+        scale = QRat.q_power(sign * (_k_eigen_halfexp(lam, len(mono)) + 4 * len(mono)))
         if p < 0:
-            out = out * Coeff.rational(-1)
-        out = Element._of({m: c / Q_DIFF for m, c in out._terms.items()})
+            scale = -scale
+        pieces = []
+        for rs in _compositions(abs(p), len(mono)):
+            coeff = scale
+            for r in rs:
+                coeff = coeff * kernel(r)
+            word = tuple(n + sign * r for n, r in zip(mono, rs))
+            pieces.append((normalize_word(word), Coeff.from_qrat(coeff)))
+        out = Element._of({m: c / Q_DIFF for m, c in _linear_sum(pieces)._terms.items()})
     _DIFF_CACHE[key] = out
     return out
 
@@ -387,23 +322,35 @@ def nilpotency_probe(n: int, v: VermaVector, cap: int) -> int | None:
 
 def simplicity_probe(v: VermaVector, index_pad: int = 2) -> list[int] | None:
     """Search for a sequence of raising actions taking v to a nonzero
-    multiple of a highest-weight vector; returns the index sequence."""
-    if v.is_zero:
-        return None
-    frontier: list[tuple[VermaVector, list[int]]] = [(v, [])]
-    while frontier:
-        next_frontier = []
-        for vec, path in frontier:
-            lengths = {len(m) for e in vec.components.values() for m in e.monomials()}
-            if lengths == {0}:
-                return path
-            idx = [i for e in vec.components.values() for m in e.monomials() for i in m]
-            lo, hi = min(idx), max(idx)
-            for n in range(-hi - index_pad, -lo + index_pad + 1):
-                w = act_xplus(n, vec)
-                if not w.is_zero:
-                    next_frontier.append((w, path + [n]))
-        frontier = next_frontier
+    multiple of a highest-weight vector; returns the index sequence.
+
+    Each x+[n] shortens every monomial by one, so a full path is as long as
+    one of the monomials of v.  For each such length, shortest first, a
+    depth-first search tries the indices in increasing order and stops at
+    the first full path: the lexicographically first of the shortest ones.
+    """
+
+    def lengths(vec: VermaVector) -> set[int]:
+        return {len(m) for e in vec.components.values() for m in e.monomials()}
+
+    def raised(vec: VermaVector, path: list[int]):
+        idx = [i for e in vec.components.values() for m in e.monomials() for i in m]
+        for n in range(-max(idx) - index_pad, -min(idx) + index_pad + 1):
+            w = act_xplus(n, vec)
+            if not w.is_zero:
+                yield w, path + [n]
+
+    for depth in sorted(lengths(v)):
+        stack = [iter([(v, [])])]
+        while stack:
+            for vec, path in stack[-1]:
+                if len(path) < depth:
+                    stack.append(raised(vec, path))
+                    break
+                if lengths(vec) == {0}:
+                    return path
+            else:
+                stack.pop()
     return None
 
 

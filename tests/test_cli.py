@@ -75,6 +75,14 @@ class TestGram:
         assert payload["basis"] == ["x[2]x[0]", "x[1]x[1]"]
         assert payload["residues_mod_q2"] == [["1", "0"], ["0", "1"]]
 
+    def test_negative_length_rejected(self):
+        code, out, err = run("gram", "--length", "-1", "--degree", "0")
+        assert code == EXIT_PARSE and out == ""
+        assert "--length" in err and "at least 0" in err
+        # the empty monomial has length 0
+        code, out, _ = run("gram", "--length", "0", "--degree", "0", "--format", "json")
+        assert code == EXIT_PASS and json.loads(out)["basis"] == ["1"]
+
 
 class TestAct:
     def test_raising_example(self):
@@ -158,3 +166,13 @@ class TestVerify:
         assert report.bounds["max_length"] == 0
         (report,) = run_suite("relations", max_length=1, m_range=(0, 0))
         assert report.bounds["max_length"] == 1 and report.bounds["components"] == [0, 0]
+
+    def test_inverted_m_range_rejected(self):
+        code, out, err = run("verify", "relations", "--m", "2:-2")
+        assert code == EXIT_PARSE and out == ""
+        assert "--m" in err and "empty range" in err
+
+    def test_inverted_window_rejected(self):
+        code, out, err = run("verify", "module", "--window", "2:-2")
+        assert code == EXIT_PARSE and out == ""
+        assert "--window" in err and "empty range" in err

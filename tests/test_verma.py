@@ -1,13 +1,16 @@
 """Module actions on reduced highest-weight modules and their direct sums."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from imcrystal.qcoeff import Coeff, Q_DIFF, QRat
-from imcrystal.qalgebra import Element, enumerate_all
+from imcrystal.qalgebra import Element, enumerate_all, parse_element
 from imcrystal.verma import (
     HighestWeight,
+    VermaVector,
+    _psi_phi_diff,
     act_chevalley,
     act_D,
     act_h,
@@ -20,9 +23,7 @@ from imcrystal.verma import (
     format_vector,
     injection_map,
     nilpotency_probe,
-    phi_component,
     projection_map,
-    psi_component,
     simplicity_probe,
     tilde_omega,
     verify_intertwining,
@@ -31,6 +32,88 @@ from imcrystal.verma import (
 
 def x(*indices):
     return Element.monomial(indices)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Cartan currents as partition sums in the h[k], and the
+# breadth-first raising search
+
+
+def _partitions(n, top):
+    """Partitions of n into weakly decreasing parts of at most top."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, top), 0, -1):
+        for tail in _partitions(n - part, part):
+            yield (part,) + tail
+
+
+def _exp_terms(n, step):
+    """Degree-n part of exp(step * sum_j h[j] u^j): sorted h indices mapped to
+    step^(number of factors) / (product of the multiplicities' factorials)."""
+    terms = {}
+    for parts in _partitions(n, n):
+        mult = 1
+        for j in set(parts):
+            mult *= factorial(parts.count(j))
+        terms[tuple(sorted(parts))] = step ** len(parts) * QRat.rational(Fraction(1, mult))
+    return terms
+
+
+def psi_oracle(n):
+    """psi(n) as (K power, h polynomial): 0 for n < 0, K for n = 0, otherwise
+    K times the partition sum of products ((q - q^-1) h[j])^m / m!."""
+    return 1, (_exp_terms(n, Q_DIFF) if n >= 0 else {})
+
+
+def phi_oracle(p):
+    """phi(p): 0 for p > 0, K^-1 for p = 0, otherwise K^-1 times the partition
+    sum over negative h indices with the sign (-1)^(number of factors)."""
+    if p > 0:
+        return -1, {}
+    terms = _exp_terms(-p, -Q_DIFF)
+    return -1, {tuple(sorted(-j for j in hs)): c for hs, c in terms.items()}
+
+
+def apply_current(component, v):
+    """K^kpow times the h polynomial, applied through act_K and act_h."""
+    kpow, terms = component
+    out = VermaVector(v.ambient, {})
+    for hs, c in terms.items():
+        w = act_K(v, kpow)
+        for j in hs:
+            w = act_h(j, w)
+        out = out + w * Coeff.from_qrat(c)
+    return out
+
+
+def diff_oracle(p, v):
+    """(psi(p) - phi(p)) / (q - q^-1) on v, from the partition sums."""
+    d = apply_current(psi_oracle(p), v) - apply_current(phi_oracle(p), v)
+    return d.map_components(lambda i, e: Element({m: c / Q_DIFF for m, c in e.items()}))
+
+
+def bfs_simplicity_path(v, index_pad=2):
+    """Breadth-first raising search: expands every nonzero x+ image of a
+    whole level and returns the first path that reaches length 0."""
+    if v.is_zero:
+        return None
+    frontier = [(v, [])]
+    while frontier:
+        next_frontier = []
+        for vec, path in frontier:
+            lengths = {len(m) for e in vec.components.values() for m in e.monomials()}
+            if lengths == {0}:
+                return path
+            idx = [i for e in vec.components.values() for m in e.monomials() for i in m]
+            lo, hi = min(idx), max(idx)
+            for n in range(-hi - index_pad, -lo + index_pad + 1):
+                w = act_xplus(n, vec)
+                if not w.is_zero:
+                    next_frontier.append((w, path + [n]))
+        frontier = next_frontier
+    return None
 
 
 @pytest.fixture
@@ -80,26 +163,34 @@ class TestHeisenberg:
 
 class TestCartanCurrents:
     def test_psi_zero_is_K(self):
-        hp = psi_component(0)
-        assert hp.kpow == 1 and hp.terms == {(): QRat.one()}
+        assert psi_oracle(0) == (1, {(): QRat.one()})
 
     def test_psi_one(self):
-        hp = psi_component(1)
-        assert hp.kpow == 1 and hp.terms == {(1,): Q_DIFF}
+        assert psi_oracle(1) == (1, {(1,): Q_DIFF})
 
     def test_phi_minus_one(self):
-        hp = phi_component(-1)
-        assert hp.kpow == -1 and hp.terms == {(-1,): -Q_DIFF}
+        assert phi_oracle(-1) == (-1, {(-1,): -Q_DIFF})
 
     def test_vanishing_sides(self):
-        assert psi_component(-2).is_zero
-        assert phi_component(3).is_zero
+        assert psi_oracle(-2) == (1, {})
+        assert phi_oracle(3) == (-1, {})
 
     def test_psi_two_partition_sum(self):
-        hp = psi_component(2)
-        assert set(hp.terms) == {(2,), (1, 1)}
-        assert hp.terms[(2,)] == Q_DIFF
-        assert hp.terms[(1, 1)] == Q_DIFF * Q_DIFF * QRat.rational(Fraction(1, 2))
+        kpow, terms = psi_oracle(2)
+        assert kpow == 1 and set(terms) == {(2,), (1, 1)}
+        assert terms[(2,)] == Q_DIFF
+        assert terms[(1, 1)] == Q_DIFF * Q_DIFF * QRat.rational(Fraction(1, 2))
+
+    def test_closed_form_matches_partition_sums(self):
+        for h in (1, 2, -1, 3):
+            lam = HighestWeight(h, 0)
+            M = direct_sum([lam])
+            for mono in enumerate_all(2, (-2, 2)):
+                v = M.inject(0, Element.monomial(mono))
+                for p in range(-5, 6):
+                    expected = diff_oracle(p, v)
+                    assert _psi_phi_diff(p, mono, lam) == expected.element(0), (h, mono, p)
+                    assert current_commutator(p, v) == expected, (h, mono, p)
 
 
 class TestRaising:
@@ -256,3 +347,23 @@ class TestProbes:
                     continue
                 path = simplicity_probe(M.inject(0, Element.monomial(mono)))
                 assert path is not None and len(path) == len(mono), (h, mono)
+
+    def test_depth_first_matches_breadth_first(self):
+        for h in (1, 2, -1):
+            M = direct_sum([HighestWeight(h, 0)])
+            for mono in enumerate_all(3, (-2, 2)):
+                if mono:
+                    v = M.inject(0, Element.monomial(mono))
+                    assert simplicity_probe(v) == bfs_simplicity_path(v), (h, mono)
+
+    def test_mixed_lengths_take_the_shortest_path(self):
+        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        exprs = ("1", "1 + x[2]", "x[0] + x[0]x[0]", "x[0] + x[1]x[0]",
+                 "x[1]x[0] + x[0]x[0]x[-1]")
+        for expr in exprs:
+            for v in (M.inject(0, parse_element(expr)),
+                      M.inject(0, parse_element(expr)) + M.inject(1, x(0, 0))):
+                assert simplicity_probe(v) == bfs_simplicity_path(v), (expr, v)
+        assert simplicity_probe(M.inject(0, parse_element("1 + x[2]"))) == [-2]
+        # x+[0] kills x[0]x[0], so one step already reaches the highest weight
+        assert simplicity_probe(M.inject(0, parse_element("x[0] + x[0]x[0]"))) == [0]
