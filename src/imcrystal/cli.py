@@ -134,10 +134,7 @@ def _random_homogeneous(
         d = sum(rng.randint(window[0], window[1]) for _ in range(k))
         weight = Weight(k, d)
     basis = enumerate_basis(weight.length, window, weight.degree)
-    out = Element.zero()
-    for mono in basis:
-        if rng.random() < 0.6:
-            out = out + Element({mono: _random_coeff(rng)})
+    out = Element({mono: _random_coeff(rng) for mono in basis if rng.random() < 0.6})
     if out.is_zero and basis:
         out = Element({basis[0]: Coeff.one()})
     return out

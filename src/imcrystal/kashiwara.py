@@ -28,6 +28,8 @@ psi operators and left multiplication, with gamma kept formal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import prod
 from typing import Iterator
 
 from .qcoeff import Coeff, g_coeff, g_coeff_bar
@@ -66,31 +68,24 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
         return hit
     pieces: list[tuple[Element, Coeff]] = []
     if mono:
-        m, rest = mono[0], mono[1:]
         if kind == PSI:
-            if p == -m:
-                pieces.append((normalize_word(rest), Coeff.gamma_power(2 * p)))
-            rmax = p + max(rest) if rest else -1
-            for r in range(rmax + 1):
-                sub = omega_mono(PSI, p - r, rest)
-                if sub:
-                    c = Coeff.from_qrat(g_coeff(r)) * Coeff.gamma_power(2 * r)
-                    pieces.extend(
-                        (normalize_word((m + r,) + w), d * c) for w, d in sub._terms.items()
-                    )
+            sign, kernel = 1, g_coeff
         elif kind == PHI:
-            if p == -m:
-                pieces.append((normalize_word(rest), Coeff.gamma_power(-2 * p)))
-            rmax = -min(rest) - p if rest else -1
-            for r in range(rmax + 1):
-                sub = omega_mono(PHI, p + r, rest)
-                if sub:
-                    c = Coeff.from_qrat(g_coeff_bar(r)) * Coeff.gamma_power(2 * r)
-                    pieces.extend(
-                        (normalize_word((m - r,) + w), d * c) for w, d in sub._terms.items()
-                    )
+            sign, kernel = -1, g_coeff_bar
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
+        m, rest = mono[0], mono[1:]
+        if p == -m:
+            pieces.append((normalize_word(rest), Coeff.gamma_power(2 * sign * p)))
+        # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
+        rmax = sign * p + max(sign * n for n in rest) if rest else -1
+        for r in range(rmax + 1):
+            sub = omega_mono(kind, p - sign * r, rest)
+            if sub:
+                c = Coeff.from_qrat(kernel(r)) * Coeff.gamma_power(2 * r)
+                pieces.extend(
+                    (normalize_word((m + sign * r,) + w), d * c) for w, d in sub._terms.items()
+                )
     out = _linear_sum(pieces)
     _OMEGA_CACHE[key] = out
     return out
@@ -106,16 +101,18 @@ def omega_apply(kind: str, p: int, e: Element) -> Element:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: the places of parts - 1 bars among total + parts - 1."""
     if total < 0:
         return
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    width = total + parts - 1
+    for bars in combinations(range(width), parts - 1):
+        edges = (-1,) + bars + (width,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def omega_psi_closed(p: int, mono: Monomial) -> Element:
@@ -126,18 +123,15 @@ def omega_psi_closed(p: int, mono: Monomial) -> Element:
     deletes slot l, multiplies the g factors and carries gamma^p.  Must
     agree with omega_mono(PSI, p, mono) on every monomial.
     """
-    out = Element.zero()
-    k = len(mono)
     gp = Coeff.gamma_power(2 * p)
-    for l in range(1, k + 1):
-        target = p + mono[l - 1]
-        for rs in _compositions(target, l - 1):
-            coeff = Coeff.one()
-            for r in rs:
-                coeff = coeff * Coeff.from_qrat(g_coeff(r))
-            word = tuple(mono[j] + rs[j] for j in range(l - 1)) + mono[l:]
-            out = out + Element.monomial(word, coeff * gp)
-    return out
+    return _linear_sum(
+        (
+            normalize_word(tuple(n + r for n, r in zip(mono, rs)) + mono[l:]),
+            prod((Coeff.from_qrat(g_coeff(r)) for r in rs), start=gp),
+        )
+        for l in range(1, len(mono) + 1)
+        for rs in _compositions(p + mono[l - 1], l - 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ class Weight:
     degree: int
 
 
-def is_normal(word: Sequence[int]) -> bool:
-    return all(word[i] >= word[i + 1] for i in range(len(word) - 1))
-
-
 def monomial_weight(mono: Monomial) -> Weight:
     return Weight(len(mono), sum(mono))
 
@@ -275,10 +271,6 @@ def normalize_word(word: Sequence[int], strategy: str = "leftmost") -> Element:
 def normalize(word: Sequence[int], coeff: Coeff | None = None) -> Element:
     """Normal form of coeff * x[word[0]] ... x[word[-1]]."""
     return Element.monomial(word, coeff)
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
 
 
 def weight_of(e: Element) -> Weight:

@@ -472,6 +472,11 @@ class Coeff:
             # one gamma term each: a single product, nonzero as both factors are
             (g1, r1), = a.items()
             (g2, r2), = b.items()
+            # the unit returns the other operand, as in QRat.__mul__
+            if not g1 and r1 is _QRAT_ONE:
+                return other
+            if not g2 and r2 is _QRAT_ONE:
+                return self
             return Coeff._of({g1 + g2: r1 * r2})
         out: dict[int, QRat] = {}
         for g1, r1 in a.items():

@@ -12,10 +12,12 @@ Generator actions:
 * lowering x[n]: left multiplication followed by normal ordering;
 * Heisenberg h[k] (k != 0): sum over factors of the index shift n -> n+k
   weighted by -[2k]/k, and h[k] v = 0;
-* raising x+[k]: structural recursion across the factors, inserting the
-  Cartan-current combination (psi(k+l) - phi(k+l)) / (q - q^-1), which acts
-  on each factor through the kernel (1 - q^2 u)/(1 - q^-2 u) (psi side) or
-  its image under q -> 1/q (phi side), times a power of K;
+* raising x+[k]: a sum over the slots j of x[n_1]...x[n_m] of the prefix
+  x[n_1]...x[n_(j-1)] times the Cartan-current combination
+  (psi(k+n_j) - phi(k+n_j)) / (q - q^-1) applied to the suffix after slot j;
+  that insertion acts on each factor through the kernel
+  (1 - q^2 u)/(1 - q^-2 u) (psi side) or its image under q -> 1/q (phi
+  side), times a power of K;
 * K and D act diagonally on each weight space;
 * Chevalley generators act through the loop-generator dictionary
   E0 = x[1] K^-1, F0 = K x+[-1], E1 = x+[0], F1 = x[0], K0 = K^-1 (at
@@ -153,22 +155,24 @@ def tilde_omega(m: int, v: VermaVector) -> VermaVector:
     )
 
 
-def _act_h_elem(k: int, e: Element) -> Element:
-    """h[k] on the algebra part: shift one factor at a time by k with
-    weight -[2k]/k; the highest-weight vector itself is killed."""
-    coeff = Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k)
-    shifted = _linear_sum(
-        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), c)
-        for mono, c in e._terms.items()
-        for pos in range(len(mono))
-    )
-    return shifted * coeff
+def _extend(v: VermaVector, image: Callable[[Monomial, HighestWeight], Element]) -> VermaVector:
+    """Componentwise linear extension of a map on monomial vectors."""
+    return VermaVector(v.ambient, {
+        i: _linear_sum((image(mono, v.ambient[i]), c) for mono, c in e._terms.items())
+        for i, e in v.components.items()
+    })
 
 
 def act_h(k: int, v: VermaVector) -> VermaVector:
+    """h[k]: shift one factor at a time by k with weight -[2k]/k; the
+    highest-weight vector itself is killed."""
     if k == 0:
         raise ValueError("h[0] is not a generator")
-    return v.map_components(lambda i, e: _act_h_elem(k, e))
+    shifted = _extend(v, lambda mono, lam: _linear_sum(
+        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), None)
+        for pos in range(len(mono))
+    ))
+    return shifted * (Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k))
 
 
 def _k_eigen_halfexp(lam: HighestWeight, length: int) -> int:
@@ -177,25 +181,15 @@ def _k_eigen_halfexp(lam: HighestWeight, length: int) -> int:
 
 
 def act_K(v: VermaVector, power: int = 1) -> VermaVector:
-    def fn(i: int, e: Element) -> Element:
-        lam = v.ambient[i]
-        return Element._of({
-            mono: c * Coeff.q_power(power * _k_eigen_halfexp(lam, len(mono)))
-            for mono, c in e._terms.items()
-        })
-
-    return v.map_components(fn)
+    return _extend(v, lambda mono, lam: Element._of(
+        {mono: Coeff.q_power(power * _k_eigen_halfexp(lam, len(mono)))}
+    ))
 
 
 def act_D(v: VermaVector, power: int = 1) -> VermaVector:
-    def fn(i: int, e: Element) -> Element:
-        d = v.ambient[i].d
-        return Element._of({
-            mono: c * Coeff.q_power(2 * power * (d + sum(mono)))
-            for mono, c in e._terms.items()
-        })
-
-    return v.map_components(fn)
+    return _extend(v, lambda mono, lam: Element._of(
+        {mono: Coeff.q_power(2 * power * (lam.d + sum(mono)))}
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -246,43 +240,31 @@ def current_commutator(p: int, v: VermaVector) -> VermaVector:
     """(psi(p) - phi(p)) / (q - q^-1) acting on a vector.  This is the value
     of the commutator of a raising and a lowering generator whose indices
     sum to p, and the insertion step of the raising action."""
-    return v.map_components(
-        lambda i, e: _linear_sum(
-            (_psi_phi_diff(p, mono, v.ambient[i]), c) for mono, c in e._terms.items()
-        )
-    )
+    return _extend(v, lambda mono, lam: _psi_phi_diff(p, mono, lam))
 
 
 _XPLUS_CACHE: dict[tuple[int, Monomial, int], Element] = {}
 
 
 def _xplus_mono(k: int, mono: Monomial, lam: HighestWeight) -> Element:
-    """x+[k] on a monomial vector: commute past the leading factor."""
-    if not mono:
-        return Element.zero()
+    """x+[k] on a monomial vector: over the slots j, the prefix before j
+    times the insertion (psi - phi)(k + n_j) / (q - q^-1) on the suffix
+    after j, which is what x+[k] leaves when it commutes past x[n_j]."""
     key = (k, mono, lam.h)
     hit = _XPLUS_CACHE.get(key)
     if hit is not None:
         return hit
-    head, rest = mono[0], mono[1:]
-    pieces = [(_psi_phi_diff(k + head, rest, lam), None)]
-    pieces.extend(
-        (normalize_word((head,) + m), c) for m, c in _xplus_mono(k, rest, lam)._terms.items()
+    out = _linear_sum(
+        (normalize_word(mono[:j] + w), c)
+        for j, n in enumerate(mono)
+        for w, c in _psi_phi_diff(k + n, mono[j + 1 :], lam)._terms.items()
     )
-    out = _linear_sum(pieces)
     _XPLUS_CACHE[key] = out
     return out
 
 
 def act_xplus(k: int, v: VermaVector) -> VermaVector:
-    def fn(i: int, e: Element) -> Element:
-        lam = v.ambient[i]
-        return _linear_sum((_xplus_mono(k, mono, lam), c) for mono, c in e._terms.items())
-
-    return v.map_components(fn)
-
-
-CHEVALLEY_GENERATORS = ("E0", "E1", "F0", "F1", "K0", "K1", "D")
+    return _extend(v, lambda mono, lam: _xplus_mono(k, mono, lam))
 
 
 def act_chevalley(gen: str, v: VermaVector) -> VermaVector:

@@ -1,5 +1,9 @@
 """Annihilation operators: recursion, closed-formula oracle, relations."""
 
+import inspect
+import sys
+from itertools import product
+
 import pytest
 
 from imcrystal.qcoeff import Coeff
@@ -9,6 +13,7 @@ from imcrystal.kashiwara import (
     PHI,
     PSI,
     RELATIONS,
+    _compositions,
     check_kashiwara_relation,
     omega_apply,
     omega_mono,
@@ -63,6 +68,23 @@ class TestClosedFormula:
         for mono in enumerate_all(3, (-2, 2)):
             for p in range(-5, 6):
                 assert omega_psi_closed(p, mono) == omega_mono(PSI, p, mono), (p, mono)
+
+    def test_compositions_in_lexicographic_order(self):
+        for total in range(-1, 6):
+            for parts in range(5):
+                expected = [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
+                assert list(_compositions(total, parts)) == expected, (total, parts)
+
+    def test_compositions_do_not_recurse(self):
+        # one part per factor of a long word, with the stack bounded well
+        # below one frame per part
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            comps = list(_compositions(1, 500))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert comps == [tuple(int(i == j) for i in range(500)) for j in reversed(range(500))]
 
 
 class TestSupport:

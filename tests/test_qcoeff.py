@@ -223,6 +223,15 @@ def test_coeff_ring_axioms(a, b, c):
     assert (a - a).is_zero
 
 
+@settings(max_examples=40, deadline=None)
+@given(coeffs())
+def test_unit_product_is_the_operand(a):
+    one = Coeff.one()
+    assert one * a == a == a * one
+    if len(a._terms) == 1:
+        assert one * a is a and a * one is a
+
+
 @settings(max_examples=60, deadline=None)
 @given(coeffs(), qrats(), st.integers(min_value=-2, max_value=2))
 def test_gamma_homogeneous_division_round_trip(a, r, g):

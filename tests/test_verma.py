@@ -1,16 +1,19 @@
 """Module actions on reduced highest-weight modules and their direct sums."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from imcrystal.qcoeff import Coeff, Q_DIFF, QRat
-from imcrystal.qalgebra import Element, enumerate_all, parse_element
+from imcrystal.qalgebra import Element, _linear_sum, enumerate_all, normalize_word, parse_element
 from imcrystal.verma import (
     HighestWeight,
     VermaVector,
     _psi_phi_diff,
+    _xplus_mono,
     act_chevalley,
     act_D,
     act_h,
@@ -35,8 +38,8 @@ def x(*indices):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the Cartan currents as partition sums in the h[k], and the
-# breadth-first raising search
+# oracles: the Cartan currents as partition sums in the h[k], the raising
+# action as a recursion over the factors, and the breadth-first raising search
 
 
 def _partitions(n, top):
@@ -92,6 +95,20 @@ def diff_oracle(p, v):
     """(psi(p) - phi(p)) / (q - q^-1) on v, from the partition sums."""
     d = apply_current(psi_oracle(p), v) - apply_current(phi_oracle(p), v)
     return d.map_components(lambda i, e: Element({m: c / Q_DIFF for m, c in e.items()}))
+
+
+def xplus_recursive(k, mono, lam):
+    """x+[k] on a monomial vector by commuting past the leading factor:
+    the insertion on the rest, plus the leading factor times x+[k] on it."""
+    if not mono:
+        return Element.zero()
+    head, rest = mono[0], mono[1:]
+    pieces = [(_psi_phi_diff(k + head, rest, lam), None)]
+    pieces.extend(
+        (normalize_word((head,) + m), c)
+        for m, c in xplus_recursive(k, rest, lam)._terms.items()
+    )
+    return _linear_sum(pieces)
 
 
 def bfs_simplicity_path(v, index_pad=2):
@@ -210,6 +227,37 @@ class TestRaising:
     def test_annihilates_highest(self, M1):
         for k in range(-3, 4):
             assert act_xplus(k, M1.highest()).is_zero
+
+    def test_slot_sum_matches_recursion(self):
+        for h in (1, 2, -1, 3):
+            lam = HighestWeight(h, 0)
+            for mono in enumerate_all(3, (-2, 2)):
+                for k in range(-4, 5):
+                    assert _xplus_mono(k, mono, lam) == xplus_recursive(k, mono, lam), (h, mono, k)
+
+    def test_sl2_string(self):
+        # x+[0] x[0]^n v = [n][h - n + 1] x[0]^(n-1) v
+        for h in (1, 2, -1, 3):
+            M = direct_sum([HighestWeight(h, 0)])
+            for n in range(1, 7):
+                v = act_xplus(0, M.inject(0, x(*[0] * n)))
+                expected = x(*[0] * (n - 1)) * (Coeff.quantum(n) * Coeff.quantum(h - n + 1))
+                assert v.element(0) == expected, (h, n)
+
+    def test_deep_word_does_not_recurse(self):
+        # the same string formula on a 200-factor word, with the stack
+        # bounded well below one frame per factor
+        n, h = 200, 1
+        M = direct_sum([HighestWeight(h, 0)])
+        v = M.inject(0, x(*[0] * n))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            out = act_xplus(0, v)
+        finally:
+            sys.setrecursionlimit(limit)
+        expected = x(*[0] * (n - 1)) * (Coeff.quantum(n) * Coeff.quantum(h - n + 1))
+        assert out.element(0) == expected
 
     def test_commutator_insertion(self, M1):
         # [x+_k, x-_l] equals the current commutator at p = k + l
