@@ -113,7 +113,7 @@ class Element:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> Element:
-        return Element({m: -c for m, c in self._terms.items()})
+        return Element._of({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: Element) -> Element:
         out = dict(self._terms)

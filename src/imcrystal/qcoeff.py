@@ -16,8 +16,8 @@ Exponents of both q and gamma are always counted in half units: ``q**2``
 has half-exponent 4, ``gamma**(1/2)`` has half-exponent 1.
 
 Every value the verification suites produce is a Laurent polynomial
-(``den == (1,)``), and two invariants let products and quotients of such
-values skip the general normalisation in ``_canon``:
+(``den == (1,)``), and three invariants let sums, products and quotients
+of such values skip the general normalisation in ``_canon``:
 
 * Gauss's lemma: a product of primitive integer polynomials is primitive.
   Two canonical ``num`` tuples also have positive leading coefficients and
@@ -29,6 +29,12 @@ values skip the general normalisation in ``_canon``:
   first inexact step or nonzero remainder, either yields the canonical
   ``num`` of the quotient or shows the quotient is not Laurent; only then
   does the gcd-based path run.
+* Content and sign: a sum of two Laurent values, written over the common
+  denominator of their scales as one integer polynomial, has no
+  denominator to cancel.  Dropping its zero end coefficients into
+  ``shift`` and dividing out its content, negated when the top
+  coefficient is negative, leaves the canonical ``num``; ``scale`` is
+  that content over the common denominator.
 """
 
 from __future__ import annotations
@@ -212,7 +218,19 @@ class QRat:
                 coeffs[i + self.shift - shift] += a * c
             for i, c in enumerate(other.num):
                 coeffs[i + other.shift - shift] += b * c
-            return _canon(Fraction(1, lcm), shift, tuple(coeffs), (1,))
+            # canonical by content and sign alone (module docstring)
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            if not coeffs:
+                return _QRAT_ZERO
+            lead = 0
+            while not coeffs[lead]:
+                lead += 1
+            c = math.gcd(*coeffs)
+            if coeffs[-1] < 0:
+                c = -c
+            num = tuple(coeffs[lead:]) if c == 1 else tuple([x // c for x in coeffs[lead:]])
+            return QRat(Fraction(c, lcm), shift + lead, num, (1,))
         n1 = [self.scale * c for c in _pmul(self.num, other.den)]
         n2 = [other.scale * c for c in _pmul(other.num, self.den)]
         coeffs = [Fraction(0)] * max(len(n1) + self.shift - shift, len(n2) + other.shift - shift)
@@ -343,7 +361,8 @@ def quantum_int(n: int) -> QRat:
         return QRat.zero()
     if n < 0:
         return -quantum_int(-n)
-    return QRat.from_laurent({2 * (n - 1) - 4 * j: 1 for j in range(n)})
+    # q^(1-n) + q^(3-n) + ... + q^(n-1): unit coefficients, canonical as built
+    return QRat(Fraction(1), -2 * (n - 1), (1, 0, 0, 0) * (n - 1) + (1,), (1,))
 
 
 @lru_cache(maxsize=None)

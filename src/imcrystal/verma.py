@@ -11,7 +11,8 @@ Generator actions:
 
 * lowering x[n]: left multiplication followed by normal ordering;
 * Heisenberg h[k] (k != 0): sum over factors of the index shift n -> n+k
-  weighted by -[2k]/k, and h[k] v = 0;
+  weighted by -[2k]/k, and h[k] v = 0; the image of each monomial, scalar
+  included, is memoised, as it does not depend on the weight;
 * raising x+[k]: a sum over the slots j of x[n_1]...x[n_m] of the prefix
   x[n_1]...x[n_(j-1)] times the Cartan-current combination
   (psi(k+n_j) - phi(k+n_j)) / (q - q^-1) applied to the suffix after slot j;
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
@@ -83,7 +85,7 @@ class VermaVector:
         return VermaVector(self.ambient, out)
 
     def __sub__(self, other: VermaVector) -> VermaVector:
-        return self + (other * Coeff.rational(-1))
+        return self + other.map_components(lambda i, e: -e)
 
     def __mul__(self, c: Coeff | int | Fraction) -> VermaVector:
         return VermaVector(self.ambient, {i: e * c for i, e in self.components.items()})
@@ -163,16 +165,37 @@ def _extend(v: VermaVector, image: Callable[[Monomial, HighestWeight], Element])
     })
 
 
+@lru_cache(maxsize=None)
+def _h_scalar(k: int) -> Coeff:
+    """-[2k]/k, the weight of each index shift in h[k]."""
+    return Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k)
+
+
+_H_CACHE: dict[tuple[int, Monomial], Element] = {}
+
+
+def _h_mono(k: int, mono: Monomial) -> Element:
+    """h[k] on a monomial vector, scalar included; it does not depend on the
+    weight, so the memo key leaves the weight out."""
+    key = (k, mono)
+    hit = _H_CACHE.get(key)
+    if hit is not None:
+        return hit
+    c = _h_scalar(k)
+    out = _linear_sum(
+        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), c)
+        for pos in range(len(mono))
+    )
+    _H_CACHE[key] = out
+    return out
+
+
 def act_h(k: int, v: VermaVector) -> VermaVector:
     """h[k]: shift one factor at a time by k with weight -[2k]/k; the
     highest-weight vector itself is killed."""
     if k == 0:
         raise ValueError("h[0] is not a generator")
-    shifted = _extend(v, lambda mono, lam: _linear_sum(
-        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), None)
-        for pos in range(len(mono))
-    ))
-    return shifted * (Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k))
+    return _extend(v, lambda mono, lam: _h_mono(k, mono))
 
 
 def _k_eigen_halfexp(lam: HighestWeight, length: int) -> int:

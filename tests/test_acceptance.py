@@ -122,6 +122,23 @@ def test_criterion_5_module_relations():
     )
 
 
+def test_module_report_check_counts():
+    # a fast path that silently checks fewer cases changes these counts
+    counts = {r.name: r.checked for r in _module_report().results}
+    assert counts == {
+        "relation-h-h": 2688,
+        "relation-h-xminus": 2688,
+        "relation-K-conjugation": 840,
+        "relation-D-conjugation": 1680,
+        "relation-xplus-xminus": 4200,
+        "weight-decomposition": 2325,
+        "local-nilpotency": 1176,
+        "simplicity-probe": 165,
+        "intertwining-maps": 2205,
+        "swap-control-detected": 1,
+    }
+
+
 def test_criterion_6_local_nilpotency():
     res = {r.name: r for r in _module_report().results}
     ok = res["local-nilpotency"].passed and res["simplicity-probe"].passed

@@ -67,6 +67,12 @@ class TestQuantumInt:
             expected = laurent({2 * n: 1}) - laurent({-2 * n: 1})
             assert quantum_int(n) * Q_DIFF == expected
 
+    def test_closed_tuple_matches_laurent(self):
+        for n in range(-60, 61):
+            sign = 1 if n > 0 else -1
+            expected = laurent({2 * (abs(n) - 1) - 4 * j: sign for j in range(abs(n))})
+            assert as_tuple(quantum_int(n)) == as_tuple(expected), n
+
 
 class TestGSeries:
     def test_values(self):
@@ -348,6 +354,68 @@ def test_mixed_operands_match_canon(a, r):
         assert as_tuple(x * y) == as_tuple(canon_product(x, y))
         assert as_tuple(x / y) == as_tuple(canon_quotient(x, y))
         assert is_canonical(x * y) and is_canonical(x / y)
+
+
+def canon_sum(a, b):
+    """a + b over the rationals, normalised by _canon."""
+    shift = min(a.shift, b.shift)
+    coeffs = [Fraction(0)] * (max(a.shift + len(a.num), b.shift + len(b.num)) - shift)
+    for r in (a, b):
+        for i, c in enumerate(r.num):
+            coeffs[r.shift - shift + i] += r.scale * c
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return _canon(Fraction(1, lcm), shift, tuple(int(c * lcm) for c in coeffs), (1,))
+
+
+def top_term(r):
+    return QRat.q_power(r.shift + len(r.num) - 1) * QRat.rational(r.scale * r.num[-1])
+
+
+@st.composite
+def laurent_sums(draw):
+    """Two Laurent values with fractional scales whose sum is unconstrained,
+    cancels completely, loses its lowest or its top term, or has integer
+    content > 1 (the top coefficient is negative in about half the draws)."""
+    a, d = draw(integer_laurents()), draw(integer_laurents())
+    kind = draw(st.sampled_from(("any", "negation", "lowest", "top", "content")))
+    if kind == "any":
+        return a, d
+    if kind == "negation":
+        return a, -a
+    if kind == "lowest":
+        low = QRat.q_power(a.shift) * QRat.rational(a.scale * a.num[0])
+        return a, d * QRat.q_power(a.shift + 1 - d.shift) - low
+    if kind == "top":
+        gap = (a.shift + len(a.num)) - (d.shift + len(d.num)) - 1
+        return a, d * QRat.q_power(gap) - top_term(a)
+    return a, d * QRat.rational(draw(st.integers(min_value=2, max_value=6))) - a
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_sums())
+def test_laurent_sum_matches_canon(ab):
+    a, b = ab
+    got = a + b
+    assert as_tuple(got) == as_tuple(canon_sum(a, b))
+    assert as_tuple(b + a) == as_tuple(got)
+    assert is_canonical(got)
+
+
+class TestLaurentSumCases:
+    def test_full_cancellation(self):
+        a = laurent_ints(3, 0, -1, shift=-2) * QRat.rational(Fraction(2, 3))
+        assert (a + (-a)) is QRat.zero()
+
+    def test_lowest_and_top_terms_cancel(self):
+        a = laurent_ints(1, 2, 3, shift=-1)
+        got = a + laurent_ints(-1, shift=-1) + laurent_ints(-3, shift=1)
+        assert as_tuple(got) == (Fraction(2), 0, (1,), (1,))
+
+    def test_content_and_negative_top(self):
+        # (2 - 4q^(1/2)) / 3 + (4 - 2q^(1/2)) / 3 = 2 - 2q^(1/2)
+        a = laurent_ints(2, -4) * QRat.rational(Fraction(1, 3))
+        b = laurent_ints(4, -2) * QRat.rational(Fraction(1, 3))
+        assert as_tuple(a + b) == (Fraction(-2), 0, (-1, 1), (1,))
 
 
 class TestLaurentDivisionCases:

@@ -7,11 +7,13 @@ from math import factorial
 
 import pytest
 
-from imcrystal.qcoeff import Coeff, Q_DIFF, QRat
+from imcrystal.qcoeff import Coeff, Q_DIFF, QRat, quantum_int
 from imcrystal.qalgebra import Element, _linear_sum, enumerate_all, normalize_word, parse_element
 from imcrystal.verma import (
     HighestWeight,
     VermaVector,
+    _extend,
+    _h_mono,
     _psi_phi_diff,
     _xplus_mono,
     act_chevalley,
@@ -38,8 +40,18 @@ def x(*indices):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the Cartan currents as partition sums in the h[k], the raising
-# action as a recursion over the factors, and the breadth-first raising search
+# oracles: h[k] without a memo, the Cartan currents as partition sums in the
+# h[k], the raising action as a recursion over the factors, and the
+# breadth-first raising search
+
+
+def act_h_uncached(k, v):
+    """h[k] as the shifted words summed per call, then scaled by -[2k]/k."""
+    shifted = _extend(v, lambda mono, lam: _linear_sum(
+        (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), None)
+        for pos in range(len(mono))
+    ))
+    return shifted * (Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k))
 
 
 def _partitions(n, top):
@@ -176,6 +188,39 @@ class TestHeisenberg:
     def test_zero_index_rejected(self, M1):
         with pytest.raises(ValueError):
             act_h(0, M1.highest())
+
+    def test_memo_matches_uncached(self):
+        ks = (1, -1, 2, -2, 3, -3)
+        for h in (1, 2, -1, 3):
+            M = direct_sum([HighestWeight(h, 0)])
+            for mono in enumerate_all(3, (-2, 2)):
+                v = M.inject(0, Element.monomial(mono))
+                for k in ks:
+                    assert act_h(k, v) == act_h_uncached(k, v), (h, mono, k)
+        M = direct_sum([HighestWeight(1, 0), HighestWeight(-1, 0)])
+        vectors = [
+            M.inject(0, parse_element("x[1]x[0] + (q^2)*x[-1]x[2] - 3*x[0]")),
+            M.inject(0, x(2, -1)) + M.inject(1, parse_element("(1-q^2)*x[0]x[0]x[1] + x[-2]")),
+            M.inject(1, x(0, 0) + x(1, -1)),
+        ]
+        for v in vectors:
+            for k in ks:
+                assert act_h(k, v) == act_h_uncached(k, v), (format_vector(v), k)
+
+    def test_cached_image_is_not_mutated(self):
+        mono = (1, 0, -1)
+        M = direct_sum([HighestWeight(2, 0)])
+        v = M.inject(0, Element.monomial(mono))
+        cached = _h_mono(2, mono)
+        terms = dict(cached._terms)
+        w = act_h(2, v)
+        # results built from the cached image: scaled, summed and cancelled
+        (w * Coeff.q_power(4) + w - w) * Coeff.rational(-1)
+        act_h(2, v + v * Coeff.q_power(2)) - w
+        act_h(-1, w)
+        assert _h_mono(2, mono) is cached
+        assert cached._terms == terms
+        assert cached == act_h_uncached(2, v).element(0)
 
 
 class TestCartanCurrents:
@@ -346,6 +391,8 @@ class TestDirectSum:
         M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
         v = M.inject(0, x(0)) + M.inject(1, x(1))
         assert (v - v).is_zero
+        w = M.inject(1, x(1) * Coeff.q_power(2) + x(0))
+        assert v - w == v + w * Coeff.rational(-1)
         assert format_vector(v) == "[0] x[0] @ (h=1,d=0) ; [1] x[1] @ (h=3,d=0)"
 
 
