@@ -8,6 +8,7 @@ Submodules:
 * pairing   -- the bilinear form, Gram matrices, lattice membership probes
 * verma     -- reduced imaginary highest-weight modules and their actions
 * crystal   -- crystal lattices, mod-q reduction, axiom verification
+* check     -- the result record every verifier returns
 * cli       -- command-line surface and verification suites
 """
 

@@ -13,9 +13,10 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from .check import Check
 from .qcoeff import Coeff, CoefficientError, congruent_mod_q2, format_coeff
 from .qalgebra import (
     Element,
@@ -71,30 +72,11 @@ EXIT_DOMAIN = 3
 
 
 @dataclass
-class SuiteResult:
-    name: str
-    witnesses: list[str] = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "checked": self.checked,
-            "witnesses": self.witnesses[:20],
-        }
-
-
-@dataclass
 class SuiteReport:
     suite: str
     bounds: dict
     seed: int
-    results: list[SuiteResult]
+    results: list[Check]
 
     @property
     def passed(self) -> bool:
@@ -151,14 +133,13 @@ def suite_confluence(
     window: tuple[int, int] = (-3, 3),
 ) -> SuiteReport:
     rng = random.Random(seed)
-    serre = SuiteResult("serre1-instance")
-    serre.checked = 1
+    serre = Check("serre1-instance", 1)
     expected = Element({(1, 0): Coeff.q_power(4)})
     if normalize_word((0, 1)) != expected:
         serre.witnesses.append("x[0]x[1] did not rewrite to q^2*x[1]x[0]")
 
-    probe = SuiteResult("confluence-probe")
-    measure = SuiteResult("termination-measure")
+    probe = Check("confluence-probe")
+    measure = Check("termination-measure")
     for _ in range(samples):
         word = _random_word(rng, max_length, window)
         probe.checked += 1
@@ -196,15 +177,12 @@ def suite_relations(
     oracle_p: tuple[int, int] = (-5, 5),
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
-    results = []
-    for rel in kashiwara.RELATIONS:
-        rep = check_kashiwara_relation(
-            rel, comp_range, max_length=max_length, window=window
-        )
-        res = SuiteResult(rel, [f.describe() for f in rep.failures], rep.checked)
-        results.append(res)
+    results = [
+        check_kashiwara_relation(rel, comp_range, max_length=max_length, window=window)
+        for rel in kashiwara.RELATIONS
+    ]
 
-    oracle = SuiteResult("oracle-psi-closed")
+    oracle = Check("oracle-psi-closed")
     for mono in enumerate_all(oracle_max_length, window):
         for p in range(oracle_p[0], oracle_p[1] + 1):
             oracle.checked += 1
@@ -212,7 +190,7 @@ def suite_relations(
                 oracle.witnesses.append(f"closed formula disagrees at p={p}, x{list(mono)}")
     results.append(oracle)
 
-    locality = SuiteResult("locality-support")
+    locality = Check("locality-support")
     for mono in enumerate_all(oracle_max_length, window):
         if not mono:
             continue
@@ -254,9 +232,9 @@ def suite_form(
     corrupt: str | None = None,
 ) -> SuiteReport:
     rng = random.Random(seed)
-    symmetry = SuiteResult("symmetry-random")
-    adjoint = SuiteResult("adjointness-random")
-    ortho_weights = SuiteResult("weight-orthogonality-random")
+    symmetry = Check("symmetry-random")
+    adjoint = Check("adjointness-random")
+    ortho_weights = Check("weight-orthogonality-random")
     for _ in range(samples):
         a = _random_homogeneous(rng, window, max_length)
         b = _random_homogeneous(rng, window, max_length, a.weight())
@@ -277,7 +255,7 @@ def suite_form(
                     f"nonzero pairing across weights {a.weight()} vs {c.weight()}"
                 )
 
-    gram_res = SuiteResult("gram-orthonormality")
+    gram_res = Check("gram-orthonormality")
     for k in range(1, max_length + 1):
         for d in range(k * window[0], k * window[1] + 1):
             g = pairing.gram(Weight(k, d), window)
@@ -286,13 +264,11 @@ def suite_form(
             if corrupt == "gram" and gram_res.checked == 0:
                 g.entries[0][0] = g.entries[0][0] + Coeff.q_power(2)
             gram_res.checked += 1
-            rep = pairing.orthonormality_report(g)
-            if not rep.passed:
-                gram_res.witnesses.extend(
-                    f"weight ({k},{d}): {w}" for w in rep.to_dict()["witnesses"]
-                )
+            gram_res.witnesses.extend(
+                f"weight ({k},{d}): {w}" for w in pairing.orthonormality_report(g).witnesses
+            )
 
-    cross = SuiteResult("cross-length-zero")
+    cross = Check("cross-length-zero")
     monos = enumerate_all(max_length, window)
     for i, ma in enumerate(monos):
         for mb in monos:
@@ -302,13 +278,12 @@ def suite_form(
                 if not v.is_zero:
                     cross.witnesses.append(f"x{list(ma)} pairs x{list(mb)} to {format_coeff(v)}")
 
-    frozen = SuiteResult("frozen-value")
-    frozen.checked = 1
+    frozen = Check("frozen-value", 1)
     value = pairing.pair(Element.monomial((1, 1)), Element.monomial((1, 1)))
     if value != Coeff.one() + Coeff.q_power(4):
         frozen.witnesses.append(f"(x[1]x[1], x[1]x[1]) = {format_coeff(value)} expected 1+q^2")
 
-    membership = SuiteResult("membership-probe")
+    membership = Check("membership-probe")
     for mono in enumerate_all(2, (-1, 1)):
         if not mono:
             continue
@@ -341,14 +316,14 @@ def suite_module(
     seed: int = DEFAULT_SEED,
     corrupt: str | None = None,
 ) -> SuiteReport:
-    rel_hh = SuiteResult("relation-h-h")
-    rel_hx = SuiteResult("relation-h-xminus")
-    rel_k = SuiteResult("relation-K-conjugation")
-    rel_d = SuiteResult("relation-D-conjugation")
-    rel_px = SuiteResult("relation-xplus-xminus")
-    weight_dec = SuiteResult("weight-decomposition")
-    nilp = SuiteResult("local-nilpotency")
-    simple = SuiteResult("simplicity-probe")
+    rel_hh = Check("relation-h-h")
+    rel_hx = Check("relation-h-xminus")
+    rel_k = Check("relation-K-conjugation")
+    rel_d = Check("relation-D-conjugation")
+    rel_px = Check("relation-xplus-xminus")
+    weight_dec = Check("weight-decomposition")
+    nilp = Check("local-nilpotency")
+    simple = Check("simplicity-probe")
 
     lo, hi = comp_range
     monos = enumerate_all(max_length, window)
@@ -413,7 +388,7 @@ def suite_module(
                     simple.witnesses.append(f"no raising path to the highest weight from {tag}")
 
     # intertwining of the tilde operators with canonical module maps
-    intertwine = SuiteResult("intertwining-maps")
+    intertwine = Check("intertwining-maps")
     if len(weights) >= 2:
         hs = list(weights[:2])
     else:
@@ -435,12 +410,10 @@ def suite_module(
     for nu, samples in maps:
         rep = verify_intertwining(nu, samples, (-2, 2))
         intertwine.checked += rep.checked
-        intertwine.witnesses.extend(rep.failures)
+        intertwine.witnesses.extend(rep.witnesses)
 
-    swap_control = SuiteResult("swap-control-detected")
-    swap_control.checked = 1
-    rep = verify_intertwining(component_swap_map(desc), sum_samples, (-1, 1))
-    if rep.passed:
+    swap_control = Check("swap-control-detected", 1)
+    if verify_intertwining(component_swap_map(desc), sum_samples, (-1, 1)).passed:
         swap_control.witnesses.append(
             "component swap between distinct weights was not detected"
         )
@@ -462,6 +435,17 @@ def suite_module(
     )
 
 
+def _axiom_check(name: str, lat: LatticeDesc, m_range: tuple[int, int]) -> Check:
+    """The crystal axioms on one lattice as one result, each witness tagged
+    with its axiom."""
+    rep = verify_crystal_axioms(lat, m_range)
+    return Check(
+        name,
+        sum(r.checked for r in rep.results),
+        [f"{r.name}: {w}" for r in rep.results for w in r.witnesses],
+    )
+
+
 def suite_crystal(
     weights: tuple[int, ...] = (1, 3),
     d: int = 0,
@@ -471,49 +455,29 @@ def suite_crystal(
     seed: int = DEFAULT_SEED,
     corrupt: str | None = None,
 ) -> SuiteReport:
-    results = []
-    reports = {}
-    for h in weights:
-        lat = LatticeDesc((HighestWeight(h, d),), max_length, window)
-        if corrupt == "lattice":
-            lat = corrupted_lattice(lat)
-        rep = verify_crystal_axioms(lat, m_range)
-        reports[h] = rep
-        res = SuiteResult(f"axioms-h{h}")
-        for r in rep.results:
-            res.checked += r.checked
-            res.witnesses.extend(f"{r.name}: {w}" for w in r.witnesses)
-        results.append(res)
+    def lattice(hs: tuple[int, ...]) -> LatticeDesc:
+        lat = LatticeDesc(tuple(HighestWeight(h, d) for h in hs), max_length, window)
+        return corrupted_lattice(lat) if corrupt == "lattice" else lat
 
-    sum_weights = tuple(HighestWeight(h, d) for h in weights[:2])
-    if len(sum_weights) == 2:
-        lat2 = LatticeDesc(sum_weights, max_length, window)
-        if corrupt == "lattice":
-            lat2 = corrupted_lattice(lat2)
-        rep2 = verify_crystal_axioms(lat2, m_range)
-        res = SuiteResult("axioms-direct-sum")
-        for r in rep2.results:
-            res.checked += r.checked
-            res.witnesses.extend(f"{r.name}: {w}" for w in r.witnesses)
-        results.append(res)
+    results = [_axiom_check(f"axioms-h{h}", lattice((h,)), m_range) for h in weights]
+    if len(weights) >= 2:
+        lat2 = lattice(weights[:2])
+        results.append(_axiom_check("axioms-direct-sum", lat2, m_range))
 
-        coherence = SuiteResult("direct-sum-coherence")
-        coherence.checked = 1
-        if rep2.passed != all(reports[h].passed for h in weights[:2]):
+        coherence = Check("direct-sum-coherence", 1)
+        if results[-1].passed != (results[0].passed and results[1].passed):
             coherence.witnesses.append(
                 "direct-sum verdict differs from the conjunction of components"
             )
         results.append(coherence)
 
-        split_res = SuiteResult("split-canonical")
-        split_res.checked = 1
+        split_res = Check("split-canonical", 1)
         sp = split_converse_check(lat2, canonical_split(lat2), m_range)
         if not sp.passed:
             split_res.witnesses.extend(sp.witnesses or ["restricted axiom run failed"])
         results.append(split_res)
 
-        control = SuiteResult("split-diagonal-control")
-        control.checked = 1
+        control = Check("split-diagonal-control", 1)
         lat_eq = LatticeDesc(
             (HighestWeight(weights[0], d), HighestWeight(weights[0], d)),
             min(1, max_length),
@@ -524,8 +488,7 @@ def suite_crystal(
             control.witnesses.append("diagonal sublattice was not rejected")
         results.append(control)
 
-    signed = SuiteResult("signed-image-example")
-    signed.checked = 1
+    signed = Check("signed-image-example", 1)
     lat1 = LatticeDesc((HighestWeight(weights[0], d),), max_length, window)
     img = crystal_image_x(0, CrystalClass(1, (2,), 0), lat1)
     if img != CrystalClass(-1, (1, 1), 0):
@@ -550,9 +513,10 @@ def suite_crystal(
 SUITES = ("relations", "form", "crystal", "confluence", "module", "all")
 
 
-def _given(value, default):
-    """The value when one was given (0 included), else the default."""
-    return default if value is None else value
+def _given(**bounds) -> dict:
+    """The bounds that were given (0 included); the others are left out, so
+    each keeps the default in its suite's signature."""
+    return {key: value for key, value in bounds.items() if value is not None}
 
 
 def run_suite(
@@ -566,6 +530,9 @@ def run_suite(
     m_range: tuple[int, int] | None = None,
     corrupt: str | None = None,
 ) -> list[SuiteReport]:
+    for bound in (window, m_range):
+        if bound is not None and bound[0] > bound[1]:
+            raise ValueError(f"empty range {bound[0]}:{bound[1]}: need a <= b")
     if name == "all":
         reports = []
         for sub in ("confluence", "relations", "form", "module", "crystal"):
@@ -576,24 +543,18 @@ def run_suite(
                 )
             )
         return reports
+    shared = _given(max_length=max_length, window=window)
     if name == "confluence":
-        return [suite_confluence(seed=seed, max_length=_given(max_length, 5),
-                                 window=_given(window, (-3, 3)))]
+        return [suite_confluence(seed=seed, **shared)]
     if name == "relations":
-        return [suite_relations(comp_range=_given(m_range, (-2, 2)),
-                                max_length=_given(max_length, 2),
-                                window=_given(window, (-2, 2)), seed=seed)]
+        return [suite_relations(seed=seed, **shared, **_given(comp_range=m_range))]
     if name == "form":
-        return [suite_form(seed=seed, max_length=_given(max_length, 3),
-                           window=_given(window, (-2, 2)), corrupt=corrupt)]
+        return [suite_form(seed=seed, corrupt=corrupt, **shared)]
+    shared.update(_given(weights=weights or None), seed=seed, d=d, corrupt=corrupt)
     if name == "module":
-        return [suite_module(weights=weights or (1, 2, -1), d=d,
-                             max_length=_given(max_length, 3), window=_given(window, (-2, 2)),
-                             comp_range=_given(m_range, (-2, 2)), seed=seed, corrupt=corrupt)]
+        return [suite_module(**shared, **_given(comp_range=m_range))]
     if name == "crystal":
-        return [suite_crystal(weights=weights or (1, 3), d=d,
-                              max_length=_given(max_length, 3), window=_given(window, (-2, 2)),
-                              m_range=_given(m_range, (-3, 3)), seed=seed, corrupt=corrupt)]
+        return [suite_crystal(**shared, **_given(m_range=m_range))]
     raise ValueError(f"unknown suite {name!r}")
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .check import Check
 from .qcoeff import Coeff
 from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis
 from .verma import (
@@ -142,18 +143,24 @@ class ImageViolation:
         )
 
 
-def _classify(
-    reduced: dict[ClassKey, Fraction], operator: str, index: int, b: CrystalClass
+def _crystal_image(
+    op: str, m: int, b: CrystalClass, lat: LatticeDesc | None
 ) -> CrystalClass | None | ImageViolation:
+    """Class of the image of b under one tilde operator in L/qL: a signed
+    class, None for zero, or the violation found."""
+    lat = lat or LatticeDesc((), 0, (0, 0))
+    apply = act_xminus if op == "xminus" else tilde_omega
+    try:
+        reduced = reduce_mod_q(apply(m, lat.lift(b)), lat)
+    except NotInLatticeError as err:
+        return ImageViolation(op, m, b, None, str(err))
     if not reduced:
         return None
     if len(reduced) > 1:
-        return ImageViolation(operator, index, b, reduced, "image is a multi-term combination")
+        return ImageViolation(op, m, b, reduced, "image is a multi-term combination")
     (key, value), = reduced.items()
     if abs(value) != 1:
-        return ImageViolation(
-            operator, index, b, reduced, f"image coefficient {value} is not a sign"
-        )
+        return ImageViolation(op, m, b, reduced, f"image coefficient {value} is not a sign")
     comp, mono = key
     return CrystalClass(1 if value > 0 else -1, mono, comp)
 
@@ -162,24 +169,14 @@ def crystal_image_x(
     m: int, b: CrystalClass, lat: LatticeDesc | None = None
 ) -> CrystalClass | None | ImageViolation:
     """Class of the lowering operator image in L/qL."""
-    lat = lat or LatticeDesc((), 0, (0, 0))
-    try:
-        reduced = reduce_mod_q(act_xminus(m, lat.lift(b)), lat)
-    except NotInLatticeError as err:
-        return ImageViolation("xminus", m, b, None, str(err))
-    return _classify(reduced, "xminus", m, b)
+    return _crystal_image("xminus", m, b, lat)
 
 
 def crystal_image_omega(
     m: int, b: CrystalClass, lat: LatticeDesc | None = None
 ) -> CrystalClass | None | ImageViolation:
     """Class of the annihilation operator image in L/qL."""
-    lat = lat or LatticeDesc((), 0, (0, 0))
-    try:
-        reduced = reduce_mod_q(tilde_omega(m, lat.lift(b)), lat)
-    except NotInLatticeError as err:
-        return ImageViolation("omega-psi", m, b, None, str(err))
-    return _classify(reduced, "omega-psi", m, b)
+    return _crystal_image("omega-psi", m, b, lat)
 
 
 # ---------------------------------------------------------------------------
@@ -187,57 +184,30 @@ def crystal_image_omega(
 
 
 @dataclass
-class AxiomResult:
-    name: str
-    checked: int = 0
-    witnesses: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.name,
-            "checked": self.checked,
-            "status": "pass" if self.passed else "fail",
-            "witnesses": self.witnesses,
-        }
-
-
-@dataclass
 class CrystalReport:
     bounds: dict
-    results: list[AxiomResult]
+    results: list[Check]
     observed_signs: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def result(self, name: str) -> AxiomResult:
+    def result(self, name: str) -> Check:
         for r in self.results:
             if r.name == name:
                 return r
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "status": "pass" if self.passed else "fail",
-            "axioms": [r.to_dict() for r in self.results],
-            "observed_signs": self.observed_signs,
-        }
-
 
 def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> CrystalReport:
     """Run the crystal-basis axiom checks over the lattice's finite probe."""
     lo, hi = m_range
-    stability = AxiomResult("lattice-stability")
-    grading = AxiomResult("weight-grading")
-    images_x = AxiomResult("image-xminus")
-    images_omega = AxiomResult("image-omega")
-    commutation = AxiomResult("commutation")
+    stability = Check("lattice-stability")
+    grading = Check("weight-grading")
+    images_x = Check("image-xminus")
+    images_omega = Check("image-omega")
+    commutation = Check("commutation")
     observed: list[str] = []
 
     classes = lat.classes()
@@ -385,14 +355,6 @@ class SplitReport:
     @property
     def passed(self) -> bool:
         return self.compatible and all(r.passed for r in self.part_reports)
-
-    def to_dict(self) -> dict:
-        return {
-            "status": "pass" if self.passed else "fail",
-            "compatible": self.compatible,
-            "witnesses": self.witnesses,
-            "parts": [r.to_dict() for r in self.part_reports],
-        }
 
 
 def split_converse_check(

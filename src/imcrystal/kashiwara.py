@@ -27,11 +27,12 @@ psi operators and left multiplication, with gamma kept formal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 from typing import Iterator
 
+from .check import Check
 from .qcoeff import Coeff, g_coeff, g_coeff_bar
 from .qalgebra import (
     Element,
@@ -140,46 +141,6 @@ def omega_psi_closed(p: int, mono: Monomial) -> Element:
 RELATIONS = ("omegapsi-x", "omegaphi-x", "psi-psi", "phi-phi", "phi-psi", "serre-x")
 
 
-@dataclass
-class RelationFailure:
-    relation: str
-    components: tuple[int, ...]
-    monomial: Monomial
-    residual: Element
-
-    def describe(self) -> str:
-        mono = "".join(f"x[{i}]" for i in self.monomial) or "1"
-        return (
-            f"{self.relation}{self.components} on {mono}: "
-            f"residual {format_element(self.residual)}"
-        )
-
-
-@dataclass
-class RelationReport:
-    relation: str
-    component_range: tuple[int, int]
-    max_length: int
-    window: tuple[int, int]
-    checked: int = 0
-    failures: list[RelationFailure] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "components": list(self.component_range),
-            "max_length": self.max_length,
-            "window": list(self.window),
-            "checked": self.checked,
-            "status": "pass" if self.passed else "fail",
-            "witnesses": [f.describe() for f in self.failures],
-        }
-
-
 def _x(n: int, e: Element) -> Element:
     return Element.monomial((n,)) * e
 
@@ -263,21 +224,23 @@ def check_kashiwara_relation(
     *,
     max_length: int = 2,
     window: tuple[int, int] = (-2, 2),
-) -> RelationReport:
+) -> Check:
     """Evaluate LHS - RHS of the chosen identity on every basis monomial in
-    the domain for every component pair in range; nonzero residuals are
-    reported, an empty failure list is a pass."""
+    the domain for every component pair in range; each nonzero residual is
+    a witness, so an empty witness list is a pass."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    report = RelationReport(relation, component_range, max_length, window)
+    report = Check(relation)
     lo, hi = component_range
     domain = enumerate_all(max_length, window)
     for a in range(lo, hi + 1):
         for b in range(lo, hi + 1):
             for mono in domain:
-                e = Element.monomial(mono)
-                res = _residual(relation, (a, b), e)
+                res = _residual(relation, (a, b), Element.monomial(mono))
                 report.checked += 1
                 if not res.is_zero:
-                    report.failures.append(RelationFailure(relation, (a, b), mono, res))
+                    body = "".join(f"x[{i}]" for i in mono) or "1"
+                    report.witnesses.append(
+                        f"{relation}{(a, b)} on {body}: residual {format_element(res)}"
+                    )
     return report

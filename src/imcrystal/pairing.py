@@ -16,8 +16,9 @@ tests that on a finite index window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
 from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis
 from .kashiwara import PSI, omega_mono
@@ -96,34 +97,17 @@ def gram(weight: Weight, window: tuple[int, int]) -> GramMatrix:
     return GramMatrix(weight, window, basis, entries)
 
 
-@dataclass
-class OrthonormalityReport:
-    weight: Weight
-    failures: list[tuple[int, int, Coeff]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "weight": [self.weight.length, self.weight.degree],
-            "status": "pass" if self.passed else "fail",
-            "witnesses": [
-                f"entry ({i},{j}) = {format_coeff(c)} not congruent to "
-                f"{1 if i == j else 0} mod q^2"
-                for i, j, c in self.failures
-            ],
-        }
-
-
-def orthonormality_report(g: GramMatrix) -> OrthonormalityReport:
+def orthonormality_report(g: GramMatrix) -> Check:
     """Check each Gram entry against the Kronecker delta modulo q^2."""
-    report = OrthonormalityReport(g.weight)
+    w = g.weight
+    report = Check(f"orthonormality ({w.length},{w.degree})", len(g.basis) ** 2)
     for i, row in enumerate(g.entries):
         for j, c in enumerate(row):
-            if not congruent_mod_q2(c, 1 if i == j else 0):
-                report.failures.append((i, j, c))
+            delta = 1 if i == j else 0
+            if not congruent_mod_q2(c, delta):
+                report.witnesses.append(
+                    f"entry ({i},{j}) = {format_coeff(c)} not congruent to {delta} mod q^2"
+                )
     return report
 
 

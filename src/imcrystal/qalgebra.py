@@ -166,12 +166,6 @@ class Element:
     def is_gamma_free(self) -> bool:
         return all(c.is_gamma_free() for c in self._terms.values())
 
-    def max_index(self) -> int:
-        return max(i for m in self._terms for i in m)
-
-    def min_index(self) -> int:
-        return min(i for m in self._terms for i in m)
-
     def __repr__(self) -> str:
         return f"Element({format_element(self)!r})"
 

@@ -32,11 +32,12 @@ that corrupted maps are detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
+from .check import Check
 from .qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
 from .qalgebra import Element, Monomial, _linear_sum, format_element, normalize_word
 from .kashiwara import PSI, _compositions, omega_apply
@@ -402,31 +403,12 @@ def component_swap_map(desc: DirectSum) -> ModuleMap:
     return ModuleMap("swap", desc.weights, desc.weights, fn)
 
 
-@dataclass
-class IntertwiningReport:
-    map_name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map_name,
-            "checked": self.checked,
-            "status": "pass" if self.passed else "fail",
-            "witnesses": self.failures,
-        }
-
-
 def verify_intertwining(
     nu: ModuleMap, samples: Iterable[VermaVector], m_range: tuple[int, int]
-) -> IntertwiningReport:
+) -> Check:
     """Check that nu commutes with the tilde operators and with the module
     actions (K, D, h[k], x+[k]) on every sample."""
-    report = IntertwiningReport(nu.name)
+    report = Check(nu.name)
     lo, hi = m_range
     operators: list[tuple[str, Callable[[VermaVector], VermaVector]]] = []
     for m in range(lo, hi + 1):
@@ -441,7 +423,7 @@ def verify_intertwining(
         for name, op in operators:
             report.checked += 1
             if nu(op(sample)) != op(nu(sample)):
-                report.failures.append(
+                report.witnesses.append(
                     f"{name} does not commute with {nu.name} on {format_vector(sample)}"
                 )
     return report

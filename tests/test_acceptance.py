@@ -60,7 +60,7 @@ def test_criterion_2_kashiwara_relations_formal_gamma():
         ok = ok and rep.passed
         detail.append(f"{rel}:{rep.checked}")
         if not rep.passed:
-            detail.append(rep.failures[0].describe())
+            detail.append(rep.witnesses[0])
     _line(
         2,
         ok,
@@ -200,7 +200,7 @@ def test_criterion_9_negative_controls():
     samples = [desc.inject(i, Element.monomial(m)) for m in enumerate_all(1, (-1, 1))
                for i in (0, 1)]
     swap_rep = verify_intertwining(component_swap_map(desc), samples, (-1, 1))
-    swap_ok = not swap_rep.passed and bool(swap_rep.failures)
+    swap_ok = not swap_rep.passed and bool(swap_rep.witnesses)
 
     # perturbed Gram entry
     from imcrystal.qalgebra import Weight
@@ -208,7 +208,7 @@ def test_criterion_9_negative_controls():
     g = pairing_mod.gram(Weight(2, 2), (0, 2))
     g.entries[0][0] = g.entries[0][0] + Coeff.q_power(2)
     ortho = pairing_mod.orthonormality_report(g)
-    gram_ok = not ortho.passed and bool(ortho.failures)
+    gram_ok = not ortho.passed and bool(ortho.witnesses)
 
     _line(
         9,

@@ -2,8 +2,12 @@
 
 import io
 import contextlib
+import hashlib
 import json
 
+import pytest
+
+from imcrystal import cli
 from imcrystal.cli import (
     EXIT_DOMAIN,
     EXIT_PARSE,
@@ -167,6 +171,23 @@ class TestVerify:
         (report,) = run_suite("relations", max_length=1, m_range=(0, 0))
         assert report.bounds["max_length"] == 1 and report.bounds["components"] == [0, 0]
 
+    def test_empty_weights_mean_the_default(self):
+        for weights in (None, ()):
+            (report,) = run_suite("crystal", weights=weights, max_length=1, m_range=(0, 0))
+            assert report.bounds["weights"] == [1, 3]
+
+    @pytest.mark.parametrize("suite", ["relations", "module", "crystal", "confluence", "all"])
+    def test_inverted_bounds_raise_before_any_check(self, suite, monkeypatch):
+        def not_run(*args, **kwargs):
+            raise AssertionError("a suite ran on an empty range")
+
+        for name in ("confluence", "relations", "form", "module", "crystal"):
+            monkeypatch.setattr(cli, f"suite_{name}", not_run)
+        with pytest.raises(ValueError, match="empty range"):
+            run_suite(suite, m_range=(3, -3), max_length=1)
+        with pytest.raises(ValueError, match="empty range"):
+            run_suite(suite, window=(2, -2))
+
     def test_inverted_m_range_rejected(self):
         code, out, err = run("verify", "relations", "--m", "2:-2")
         assert code == EXIT_PARSE and out == ""
@@ -176,3 +197,30 @@ class TestVerify:
         code, out, err = run("verify", "module", "--window", "2:-2")
         assert code == EXIT_PARSE and out == ""
         assert "--window" in err and "empty range" in err
+
+
+class TestWitnessText:
+    """The exact stdout of the three --corrupt controls at small bounds,
+    witness strings included, pinned by the first 16 hex digits of its
+    sha256."""
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (("verify", "form", "--corrupt", "gram", "--max-length", "2"),
+             {"json": "ab75022018b45ec9", "text": "596b2a38e3a1f5f2"}),
+            (("verify", "crystal", "--corrupt", "lattice", "--max-length", "1", "--m", "-1:1"),
+             {"json": "3896886aa6ca75d3", "text": "e3226da23ae461c0"}),
+            (("verify", "module", "--corrupt", "map", "--max-length", "1", "--m", "-1:1",
+              "--h", "1,3"),
+             {"json": "c1989deeb5ba4d42", "text": "be7980cc7f3e0df8"}),
+        ],
+        ids=["form-gram", "crystal-lattice", "module-map"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_corrupt_control_output(self, argv, digests, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--format", fmt])
+        assert code == EXIT_VERIFY_FAIL
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digests[fmt]

@@ -103,9 +103,9 @@ class TestAxioms:
 
     def test_report_serialization(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (0, 1))
-        d = verify_crystal_axioms(lat, (-1, 1)).to_dict()
-        assert d["status"] == "pass"
-        assert d["bounds"]["m_range"] == [-1, 1]
+        rep = verify_crystal_axioms(lat, (-1, 1))
+        assert rep.passed
+        assert rep.bounds["m_range"] == [-1, 1]
 
 
 class TestAssemble:

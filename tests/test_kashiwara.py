@@ -116,14 +116,13 @@ class TestRelations:
     @pytest.mark.parametrize("relation", RELATIONS)
     def test_passes_small(self, relation):
         rep = check_kashiwara_relation(relation, (-1, 1), max_length=2, window=(-1, 1))
-        assert rep.passed, [f.describe() for f in rep.failures[:3]]
+        assert rep.passed, rep.witnesses[:3]
         assert rep.checked > 0
 
     def test_report_serialization(self):
         rep = check_kashiwara_relation("psi-psi", (0, 1), max_length=1, window=(0, 1))
-        d = rep.to_dict()
-        assert d["status"] == "pass"
-        assert d["relation"] == "psi-psi"
+        assert rep.passed
+        assert rep.name == "psi-psi"
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):

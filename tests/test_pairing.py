@@ -72,14 +72,14 @@ class TestGram:
         for k in range(1, 4):
             for d in range(-2 * k, 2 * k + 1):
                 rep = orthonormality_report(gram(Weight(k, d), (-2, 2)))
-                assert rep.passed, rep.to_dict()["witnesses"][:2]
+                assert rep.passed, rep.witnesses[:2]
 
     def test_perturbed_entry_fails(self):
         g = gram(Weight(2, 2), (0, 2))
         g.entries[0][1] = g.entries[0][1] + Coeff.q_power(2)
         rep = orthonormality_report(g)
         assert not rep.passed
-        assert any("(0,1)" in w or "(1,0)" in w for w in rep.to_dict()["witnesses"])
+        assert any("(0,1)" in w or "(1,0)" in w for w in rep.witnesses)
 
     def test_nondegenerate_probe(self):
         # Gram determinant nonzero on a small window (2x2 diagonal blocks)

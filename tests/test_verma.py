@@ -408,19 +408,19 @@ class TestIntertwining:
     def test_injection_passes(self):
         M, inj_samples, _ = self._fixtures()
         rep = verify_intertwining(injection_map(M, 0), inj_samples, (-1, 1))
-        assert rep.passed, rep.failures[:2]
+        assert rep.passed, rep.witnesses[:2]
 
     def test_projection_passes(self):
         M, _, sum_samples = self._fixtures()
         for i in (0, 1):
             rep = verify_intertwining(projection_map(M, i), sum_samples, (-1, 1))
-            assert rep.passed, rep.failures[:2]
+            assert rep.passed, rep.witnesses[:2]
 
     def test_swap_control_fails(self):
         M, _, sum_samples = self._fixtures()
         rep = verify_intertwining(component_swap_map(M), sum_samples, (-1, 1))
         assert not rep.passed
-        assert any("K does not commute" in w for w in rep.failures)
+        assert any("K does not commute" in w for w in rep.witnesses)
 
 
 class TestProbes:
