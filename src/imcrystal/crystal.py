@@ -14,6 +14,10 @@ operator range):
 * commutation: whenever both the annihilation image and the lowering
   image of a class are nonzero, the two composites agree in L/qL.
 
+Each tilde image is computed once per axiom run: the checker keeps a table
+keyed by (operator, index, signed class), and the stability, image and
+commutation checks all read from it.
+
 All probed conditions quantify over infinite sets in general, so every
 report carries its bounds.  A lattice may carry per-monomial scale factors
 (coordinates divide by them); scaling one generator by a negative power of
@@ -24,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .check import Check
 from .qcoeff import Coeff
-from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis
+from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial
 from .verma import (
     DirectSum,
     HighestWeight,
@@ -56,8 +61,7 @@ class CrystalClass:
         return CrystalClass(-self.sign, self.mono, self.component)
 
     def describe(self) -> str:
-        body = "".join(f"x[{i}]" for i in self.mono) or "1"
-        return f"{'+' if self.sign > 0 else '-'}[{self.component}]{body}"
+        return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
 
 
 @dataclass
@@ -91,25 +95,34 @@ class LatticeDesc:
         return self.module().inject(b.component, elem)
 
 
+def _pole_text(key: ClassKey) -> str:
+    comp, mono = key
+    return f"coordinate of [{comp}]{format_monomial(mono)} has a pole at 0"
+
+
 class NotInLatticeError(ValueError):
     def __init__(self, witness: ClassKey, coeff: Coeff):
-        comp, mono = witness
-        body = "".join(f"x[{i}]" for i in mono) or "1"
-        super().__init__(
-            f"not in the lattice: coordinate of [{comp}]{body} has a pole at 0"
-        )
+        super().__init__(f"not in the lattice: {_pole_text(witness)}")
         self.witness = witness
         self.coeff = coeff
 
 
-def lattice_coordinates(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Coeff]:
-    """Coordinates of a vector over the lattice generators (coefficients
-    divided by the generator scales)."""
-    out: dict[ClassKey, Coeff] = {}
+def _reduce(
+    v: VermaVector, lat: LatticeDesc
+) -> tuple[list[tuple[ClassKey, Coeff]], dict[ClassKey, Fraction]]:
+    """One walk over the lattice coordinates of v (coefficients divided by
+    the generator scales): the coordinates with a pole at 0, and the image
+    of the others in L/qL as a rational combination of monomial classes."""
+    poles: list[tuple[ClassKey, Coeff]] = []
+    out: dict[ClassKey, Fraction] = {}
     for i, e in v.components.items():
         for mono, c in e.items():
-            out[(i, mono)] = c / lat.scale(i, mono)
-    return out
+            c = c / lat.scale(i, mono)
+            if not c.is_regular_at_zero():
+                poles.append(((i, mono), c))
+            elif r := c.constant_at_zero():
+                out[(i, mono)] = r
+    return poles, out
 
 
 def reduce_mod_q(
@@ -117,15 +130,9 @@ def reduce_mod_q(
 ) -> dict[ClassKey, Fraction]:
     """Image of a lattice vector in L/qL as a signed rational combination of
     monomial classes; raises NotInLatticeError with a witness on poles."""
-    if lat is None:
-        lat = LatticeDesc(v.ambient, 0, (0, 0))
-    out: dict[ClassKey, Fraction] = {}
-    for key, c in lattice_coordinates(v, lat).items():
-        if not c.is_regular_at_zero():
-            raise NotInLatticeError(key, c)
-        r = c.constant_at_zero()
-        if r:
-            out[key] = r
+    poles, out = _reduce(v, lat or LatticeDesc(v.ambient, 0, (0, 0)))
+    if poles:
+        raise NotInLatticeError(*poles[0])
     return out
 
 
@@ -143,40 +150,44 @@ class ImageViolation:
         )
 
 
-def _crystal_image(
-    op: str, m: int, b: CrystalClass, lat: LatticeDesc | None
-) -> CrystalClass | None | ImageViolation:
-    """Class of the image of b under one tilde operator in L/qL: a signed
+TildeImage = CrystalClass | None | ImageViolation
+
+
+def _tilde_image(
+    op: str, m: int, b: CrystalClass, lat: LatticeDesc
+) -> tuple[list[str], TildeImage]:
+    """Apply one tilde operator ("xminus" or "omega-psi") to the lift of b,
+    once.  Returns a stability witness for each lattice coordinate of the
+    image with a pole at 0, and the class of the image in L/qL: a signed
     class, None for zero, or the violation found."""
-    lat = lat or LatticeDesc((), 0, (0, 0))
     apply = act_xminus if op == "xminus" else tilde_omega
-    try:
-        reduced = reduce_mod_q(apply(m, lat.lift(b)), lat)
-    except NotInLatticeError as err:
-        return ImageViolation(op, m, b, None, str(err))
+    poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
+    witnesses = [f"{op}[{m}] on {b.describe()}: {_pole_text(key)}" for key, _ in poles]
+    if poles:
+        return witnesses, ImageViolation(op, m, b, None, str(NotInLatticeError(*poles[0])))
     if not reduced:
-        return None
+        return witnesses, None
     if len(reduced) > 1:
-        return ImageViolation(op, m, b, reduced, "image is a multi-term combination")
+        return witnesses, ImageViolation(
+            op, m, b, reduced, "image is a multi-term combination"
+        )
     (key, value), = reduced.items()
     if abs(value) != 1:
-        return ImageViolation(op, m, b, reduced, f"image coefficient {value} is not a sign")
+        return witnesses, ImageViolation(
+            op, m, b, reduced, f"image coefficient {value} is not a sign"
+        )
     comp, mono = key
-    return CrystalClass(1 if value > 0 else -1, mono, comp)
+    return witnesses, CrystalClass(1 if value > 0 else -1, mono, comp)
 
 
-def crystal_image_x(
-    m: int, b: CrystalClass, lat: LatticeDesc | None = None
-) -> CrystalClass | None | ImageViolation:
+def crystal_image_x(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
     """Class of the lowering operator image in L/qL."""
-    return _crystal_image("xminus", m, b, lat)
+    return _tilde_image("xminus", m, b, lat)[1]
 
 
-def crystal_image_omega(
-    m: int, b: CrystalClass, lat: LatticeDesc | None = None
-) -> CrystalClass | None | ImageViolation:
+def crystal_image_omega(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
     """Class of the annihilation operator image in L/qL."""
-    return _crystal_image("omega-psi", m, b, lat)
+    return _tilde_image("omega-psi", m, b, lat)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +221,11 @@ def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> Crystal
     commutation = Check("commutation")
     observed: list[str] = []
 
-    classes = lat.classes()
+    @cache  # the per-run table of tilde images every check below reads
+    def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
+        return _tilde_image(op, m, b, lat)
 
-    for b in classes:
+    for b in lat.classes():
         lift = lat.lift(b)
         lam = lat.weights[b.component]
 
@@ -225,47 +238,24 @@ def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> Crystal
             grading.witnesses.append(f"{b.describe()} is not in a single weight space")
 
         for m in range(lo, hi + 1):
-            # lattice stability of both operator families
-            for opname, image in (
-                ("xminus", act_xminus(m, lift)),
-                ("omega-psi", tilde_omega(m, lift)),
-            ):
+            # lattice stability and single-signed-class images
+            for op, images in (("xminus", images_x), ("omega-psi", images_omega)):
+                poles, img = image(op, m, b)
                 stability.checked += 1
-                for key, c in lattice_coordinates(image, lat).items():
-                    if not c.is_regular_at_zero():
-                        comp, mono = key
-                        body = "".join(f"x[{i}]" for i in mono) or "1"
-                        stability.witnesses.append(
-                            f"{opname}[{m}] on {b.describe()}: coordinate of "
-                            f"[{comp}]{body} has a pole at 0"
-                        )
-
-            # single-signed-class images
-            img_x = crystal_image_x(m, b, lat)
-            images_x.checked += 1
-            if isinstance(img_x, ImageViolation):
-                images_x.witnesses.append(img_x.describe())
-            elif img_x is not None:
-                observed.append(f"xminus[{m}] {b.describe()} -> {img_x.describe()}")
-            img_o = crystal_image_omega(m, b, lat)
-            images_omega.checked += 1
-            if isinstance(img_o, ImageViolation):
-                images_omega.witnesses.append(img_o.describe())
-            elif img_o is not None:
-                observed.append(f"omega-psi[{m}] {b.describe()} -> {img_o.describe()}")
+                stability.witnesses.extend(poles)
+                images.checked += 1
+                if isinstance(img, ImageViolation):
+                    images.witnesses.append(img.describe())
+                elif img is not None:
+                    observed.append(f"{op}[{m}] {b.describe()} -> {img.describe()}")
 
             # commutation: x[m] after omega(-m) against omega(-m) after x[m]
-            omega_b = crystal_image_omega(-m, b, lat)
-            x_b = img_x
-            if (
-                not isinstance(omega_b, ImageViolation)
-                and not isinstance(x_b, ImageViolation)
-                and omega_b is not None
-                and x_b is not None
-            ):
+            omega_b = image("omega-psi", -m, b)[1]
+            x_b = image("xminus", m, b)[1]
+            if isinstance(omega_b, CrystalClass) and isinstance(x_b, CrystalClass):
                 commutation.checked += 1
-                left = crystal_image_x(m, omega_b, lat)
-                right = crystal_image_omega(-m, x_b, lat)
+                left = image("xminus", m, omega_b)[1]
+                right = image("omega-psi", -m, x_b)[1]
                 if left != right:
                     ltext = left.describe() if isinstance(left, CrystalClass) else str(left)
                     rtext = right.describe() if isinstance(right, CrystalClass) else str(right)
@@ -413,8 +403,9 @@ def split_converse_check(
     for key in lat.class_keys():
         if key not in cover:
             comp, mono = key
-            body = "".join(f"x[{i}]" for i in mono) or "1"
-            witnesses.append(f"lattice generator [{comp}]{body} not covered by the split")
+            witnesses.append(
+                f"lattice generator [{comp}]{format_monomial(mono)} not covered by the split"
+            )
 
     compatible = not witnesses
     part_reports: list[CrystalReport] = []

@@ -40,6 +40,7 @@ from .qalgebra import (
     _linear_sum,
     enumerate_all,
     format_element,
+    format_monomial,
     normalize_word,
 )
 
@@ -239,8 +240,8 @@ def check_kashiwara_relation(
                 res = _residual(relation, (a, b), Element.monomial(mono))
                 report.checked += 1
                 if not res.is_zero:
-                    body = "".join(f"x[{i}]" for i in mono) or "1"
                     report.witnesses.append(
-                        f"{relation}{(a, b)} on {body}: residual {format_element(res)}"
+                        f"{relation}{(a, b)} on {format_monomial(mono)}: "
+                        f"residual {format_element(res)}"
                     )
     return report

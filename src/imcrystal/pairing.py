@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
-from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis
+from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis, format_monomial
 from .kashiwara import PSI, omega_mono
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
@@ -78,7 +78,7 @@ class GramMatrix:
         return {
             "weight": [self.weight.length, self.weight.degree],
             "window": list(self.window),
-            "basis": ["".join(f"x[{i}]" for i in m) or "1" for m in self.basis],
+            "basis": [format_monomial(m) for m in self.basis],
             "entries": [[format_coeff(c) for c in row] for row in self.entries],
             "residues_mod_q2": residues,
         }
@@ -124,8 +124,7 @@ class MembershipReport:
         if self.passed:
             return "all probed pairings regular at 0"
         mono, c = self.witness
-        mtext = "".join(f"x[{i}]" for i in mono) or "1"
-        return f"pairing against {mtext} is {format_coeff(c)} (pole at 0)"
+        return f"pairing against {format_monomial(mono)} is {format_coeff(c)} (pole at 0)"
 
 
 def lattice_membership_probe(u: Element, window: tuple[int, int]) -> MembershipReport:

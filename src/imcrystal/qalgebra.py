@@ -44,6 +44,11 @@ def monomial_weight(mono: Monomial) -> Weight:
     return Weight(len(mono), sum(mono))
 
 
+def format_monomial(mono: Monomial) -> str:
+    """Text of a monomial as a product x[i]x[j]...; the empty one is "1"."""
+    return "".join(f"x[{i}]" for i in mono) or "1"
+
+
 # ---------------------------------------------------------------------------
 # elements
 
@@ -481,7 +486,7 @@ def format_element(e: Element) -> str:
     parts = []
     for mono, coeff in e.items():
         text = format_coeff(coeff)
-        mono_text = "".join(f"x[{i}]" for i in mono)
+        mono_text = format_monomial(mono)
         if not mono:
             body = text
         elif text == "1":

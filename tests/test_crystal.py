@@ -1,9 +1,13 @@
 """Crystal lattices: reduction, signed images, axioms, and splitting."""
 
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from imcrystal import crystal
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element
 from imcrystal.verma import HighestWeight
@@ -72,6 +76,12 @@ class TestImages:
         img = crystal_image_x(0, CrystalClass(-1, (2,), 0), lat)
         assert img == CrystalClass(1, (1, 1), 0)
 
+    def test_lattice_is_required(self):
+        with pytest.raises(TypeError):
+            crystal_image_x(0, CrystalClass(1, (2,), 0))
+        with pytest.raises(TypeError):
+            crystal_image_omega(0, CrystalClass(1, (2,), 0))
+
 
 class TestAxioms:
     def test_single_component_passes(self):
@@ -100,6 +110,38 @@ class TestAxioms:
         assert not rep.passed
         stability = rep.result("lattice-stability")
         assert stability.witnesses and "pole at 0" in stability.witnesses[0]
+
+    def test_each_image_is_computed_once(self, monkeypatch):
+        applied = Counter()
+
+        def counting(name, apply):
+            def wrapper(m, v):
+                applied[(name, m, repr(v))] += 1
+                return apply(m, v)
+            return wrapper
+
+        monkeypatch.setattr(crystal, "act_xminus", counting("xminus", crystal.act_xminus))
+        monkeypatch.setattr(crystal, "tilde_omega", counting("omega", crystal.tilde_omega))
+        lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(3, 0)), 2, (-1, 1))
+        verify_crystal_axioms(lat, (-2, 2))
+        assert applied
+        assert [key for key, n in applied.items() if n > 1] == []
+
+    @pytest.mark.parametrize(
+        "weights, window, digest",
+        [
+            ((1,), (-1, 1), "d0b27059b857726b"),
+            ((1, 3), (-2, 2), "f3a6b84295c23984"),
+        ],
+    )
+    def test_uncapped_witness_text(self, weights, window, digest):
+        # every witness and observed sign of the corrupted fixture, none capped
+        base = LatticeDesc(tuple(HighestWeight(h, 0) for h in weights), 2, window)
+        rep = verify_crystal_axioms(corrupted_lattice(base), (-2, 2))
+        text = json.dumps(
+            [[r.name, r.checked, r.witnesses] for r in rep.results] + [rep.observed_signs]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_report_serialization(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (0, 1))
