@@ -389,10 +389,11 @@ def suite_module(
 
     # intertwining of the tilde operators with canonical module maps
     intertwine = Check("intertwining-maps")
-    if len(weights) >= 2:
-        hs = list(weights[:2])
-    else:
-        hs = [weights[0], weights[0] + 1 if weights[0] != -1 else 1]
+    # the swap control needs two distinct weights: a swap between equal ones
+    # is a module map
+    hs = list(dict.fromkeys(weights))[:2]
+    if len(hs) == 1:
+        hs.append(hs[0] + 1 if hs[0] != -1 else 1)
     desc = direct_sum([HighestWeight(hs[0], d), HighestWeight(hs[1], d)])
     sample_monos = enumerate_all(min(2, max_length), window)
     single0 = direct_sum([HighestWeight(hs[0], d)])

@@ -13,12 +13,13 @@ Generator actions:
 * Heisenberg h[k] (k != 0): sum over factors of the index shift n -> n+k
   weighted by -[2k]/k, and h[k] v = 0; the image of each monomial, scalar
   included, is memoised, as it does not depend on the weight;
-* raising x+[k]: a sum over the slots j of x[n_1]...x[n_m] of the prefix
-  x[n_1]...x[n_(j-1)] times the Cartan-current combination
-  (psi(k+n_j) - phi(k+n_j)) / (q - q^-1) applied to the suffix after slot j;
-  that insertion acts on each factor through the kernel
-  (1 - q^2 u)/(1 - q^-2 u) (psi side) or its image under q -> 1/q (phi
-  side), times a power of K;
+* raising x+[k]: a sum over the slots i of x[n_1]...x[n_m] of the prefix
+  x[n_1]...x[n_(i-1)] times the Cartan-current combination
+  (psi(p) - phi(p)) / (q - q^-1), p = k + n_i, applied to the suffix after
+  slot i; on a word of m factors that insertion shifts the indices by a
+  composition of |p| in the direction s = sign(p), with the closed weight
+  -q^(s(h-2m) - 2p) (q^s + q^(3s)) (1 - q^(4s))^(j-1) for a composition
+  with j nonzero parts;
 * K and D act diagonally on each weight space;
 * Chevalley generators act through the loop-generator dictionary
   E0 = x[1] K^-1, F0 = K x+[-1], E1 = x+[0], F1 = x[0], K0 = K^-1 (at
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .check import Check
-from .qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
+from .qcoeff import Coeff
 from .qalgebra import Element, Monomial, _linear_sum, format_element, normalize_word
 from .kashiwara import PSI, _compositions, omega_apply
 
@@ -169,7 +170,7 @@ def _extend(v: VermaVector, image: Callable[[Monomial, HighestWeight], Element])
 @lru_cache(maxsize=None)
 def _h_scalar(k: int) -> Coeff:
     """-[2k]/k, the weight of each index shift in h[k]."""
-    return Coeff.from_qrat(quantum_int(2 * k)) * Fraction(-1, k)
+    return Coeff.quantum(2 * k) * Fraction(-1, k)
 
 
 _H_CACHE: dict[tuple[int, Monomial], Element] = {}
@@ -222,16 +223,30 @@ def act_D(v: VermaVector, power: int = 1) -> VermaVector:
 
 _DIFF_CACHE: dict[tuple[int, Monomial, int], Element] = {}
 
+# per sign s: the weight of a composition with one nonzero part, up to its
+# q-power, -(q^s + q^(3s)), and the factor 1 - q^(4s) of each further part
+_HEAD = {s: -(Coeff.q_power(2 * s) + Coeff.q_power(6 * s)) for s in (1, -1)}
+_STEP = {s: Coeff.one() - Coeff.q_power(8 * s) for s in (1, -1)}
+
 
 def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
     """(psi(p) - phi(p)) / (q - q^-1) applied to a monomial vector.
 
-    The h[k] act as derivations, so K^-1 psi(z) acts on each factor through
-    the kernel (1 - q^2 u)/(1 - q^-2 u) = q^2 * sum_r g_coeff_bar(r) u^r, where
-    u^r raises that factor's index by r; K phi(z) is its image under q -> 1/q
-    and lowers the indices.  The p-component is a sum over the compositions
-    of |p| into one part per factor; a nonzero part carries 1 - q^4, so the
-    division by q - q^-1 is exact.
+    The h[k] act as derivations.  So for p > 0, psi(p) is K times a sum over
+    the compositions of p into one part r per factor: each factor's index
+    is raised by its part, with the coefficient of u^r in the kernel
+    (1 - q^2 u)/(1 - q^-2 u) as weight.  For p < 0, -phi(p) is the image of
+    that sum under q -> 1/q, with K^-1, the indices lowered and a minus
+    sign.  Let s = sign(p) and m = len(mono).  A composition of |p| with
+    j >= 1 nonzero parts then has a closed weight:
+
+    1. K^s gives q^(s(h-2m));
+    2. a zero part gives q^(2s) q^(-2s) = 1;
+    3. a part r > 0 gives q^(-2sr) (1 - q^(4s)), and the parts sum to |p|;
+    4. (1 - q^(4s)) / (q - q^-1) = -s (q^s + q^(3s)) exactly, and the sign
+       of the phi side is s.
+
+    So the weight is -q^(s(h-2m) - 2p) (q^s + q^(3s)) (1 - q^(4s))^(j-1).
     """
     key = (p, mono, lam.h)
     hit = _DIFF_CACHE.get(key)
@@ -239,23 +254,17 @@ def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
         return hit
     if p == 0:
         # (K - K^-1)/(q - q^-1) acts by the quantum integer of the weight
-        out = Element(
-            {mono: Coeff.from_qrat(quantum_int(lam.h - 2 * len(mono)))}
-        )
+        out = Element({mono: Coeff.quantum(lam.h - 2 * len(mono))})
     else:
-        sign, kernel = (1, g_coeff_bar) if p > 0 else (-1, g_coeff)
-        # K^(+-1) on the word times the q^(+-2) of each factor's kernel
-        scale = QRat.q_power(sign * (_k_eigen_halfexp(lam, len(mono)) + 4 * len(mono)))
-        if p < 0:
-            scale = -scale
-        pieces = []
-        for rs in _compositions(abs(p), len(mono)):
-            coeff = scale
-            for r in rs:
-                coeff = coeff * kernel(r)
-            word = tuple(n + sign * r for n, r in zip(mono, rs))
-            pieces.append((normalize_word(word), Coeff.from_qrat(coeff)))
-        out = Element._of({m: c / Q_DIFF for m, c in _linear_sum(pieces)._terms.items()})
+        s = 1 if p > 0 else -1
+        weights = [Coeff.q_power(s * _k_eigen_halfexp(lam, len(mono)) - 4 * p) * _HEAD[s]]
+        for _ in range(1, min(abs(p), len(mono))):
+            weights.append(weights[-1] * _STEP[s])
+        out = _linear_sum(
+            (normalize_word(tuple(n + s * r for n, r in zip(mono, rs))),
+             weights[len(rs) - rs.count(0) - 1])
+            for rs in _compositions(abs(p), len(mono))
+        )
     _DIFF_CACHE[key] = out
     return out
 
@@ -365,8 +374,6 @@ class ModuleMap:
     """A linear map between module descriptors, checked for intertwining."""
 
     name: str
-    source: tuple[HighestWeight, ...]
-    target: tuple[HighestWeight, ...]
     fn: Callable[[VermaVector], VermaVector]
 
     def __call__(self, v: VermaVector) -> VermaVector:
@@ -374,19 +381,17 @@ class ModuleMap:
 
 
 def injection_map(desc: DirectSum, i: int) -> ModuleMap:
-    single = (desc.weights[i],)
-
     def fn(v: VermaVector) -> VermaVector:
         return desc.inject(i, v.element(0))
 
-    return ModuleMap(f"inject[{i}]", single, desc.weights, fn)
+    return ModuleMap(f"inject[{i}]", fn)
 
 
 def projection_map(desc: DirectSum, i: int) -> ModuleMap:
     def fn(v: VermaVector) -> VermaVector:
         return desc.project(i, v)
 
-    return ModuleMap(f"project[{i}]", desc.weights, (desc.weights[i],), fn)
+    return ModuleMap(f"project[{i}]", fn)
 
 
 def component_swap_map(desc: DirectSum) -> ModuleMap:
@@ -400,7 +405,7 @@ def component_swap_map(desc: DirectSum) -> ModuleMap:
             desc.weights, {1 - i: e for i, e in v.components.items()}
         )
 
-    return ModuleMap("swap", desc.weights, desc.weights, fn)
+    return ModuleMap("swap", fn)
 
 
 def verify_intertwining(

@@ -188,6 +188,23 @@ class TestVerify:
         with pytest.raises(ValueError, match="empty range"):
             run_suite(suite, window=(2, -2))
 
+    def test_repeated_weight_passes_module(self):
+        # the swap control takes two distinct weights, so h = 1,1 is a
+        # correct input with a detected control
+        code, out, _ = run("verify", "module", "--h", "1,1", "--max-length", "1", "--m", "-1:1")
+        assert code == EXIT_PASS
+        assert "swap-control-detected: PASS" in out
+
+    def test_repeated_weight_detects_corrupt_map(self):
+        code, out, _ = run(
+            "verify", "module", "--h", "1,1", "--max-length", "1", "--m", "-1:1",
+            "--corrupt", "map", "--format", "json",
+        )
+        assert code == EXIT_VERIFY_FAIL
+        status = {r["name"]: r["status"] for r in json.loads(out)["reports"][0]["results"]}
+        assert status["intertwining-maps"] == "fail"
+        assert status["swap-control-detected"] == "pass"
+
     def test_inverted_m_range_rejected(self):
         code, out, err = run("verify", "relations", "--m", "2:-2")
         assert code == EXIT_PARSE and out == ""

@@ -7,7 +7,8 @@ from math import factorial
 
 import pytest
 
-from imcrystal.qcoeff import Coeff, Q_DIFF, QRat, quantum_int
+from imcrystal.kashiwara import _compositions
+from imcrystal.qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
 from imcrystal.qalgebra import Element, _linear_sum, enumerate_all, normalize_word, parse_element
 from imcrystal.verma import (
     HighestWeight,
@@ -41,8 +42,8 @@ def x(*indices):
 
 # ---------------------------------------------------------------------------
 # oracles: h[k] without a memo, the Cartan currents as partition sums in the
-# h[k], the raising action as a recursion over the factors, and the
-# breadth-first raising search
+# h[k] and as per-factor kernel products, the raising action as a recursion
+# over the factors, and the breadth-first raising search
 
 
 def act_h_uncached(k, v):
@@ -107,6 +108,27 @@ def diff_oracle(p, v):
     """(psi(p) - phi(p)) / (q - q^-1) on v, from the partition sums."""
     d = apply_current(psi_oracle(p), v) - apply_current(phi_oracle(p), v)
     return d.map_components(lambda i, e: Element({m: c / Q_DIFF for m, c in e.items()}))
+
+
+def diff_kernel_product(p, mono, lam):
+    """(psi(p) - phi(p)) / (q - q^-1) on a monomial vector as one kernel
+    coefficient per factor: per composition of |p|, the K power and the
+    q^(+-2) of each factor times g_coeff_bar(r) (psi side) or g_coeff(r)
+    (phi side) for each part r, then every coefficient divided by q - q^-1."""
+    if p == 0:
+        return Element({mono: Coeff.from_qrat(quantum_int(lam.h - 2 * len(mono)))})
+    sign, kernel = (1, g_coeff_bar) if p > 0 else (-1, g_coeff)
+    scale = QRat.q_power(sign * (2 * (lam.h - 2 * len(mono)) + 4 * len(mono)))
+    if p < 0:
+        scale = -scale
+    pieces = []
+    for rs in _compositions(abs(p), len(mono)):
+        coeff = scale
+        for r in rs:
+            coeff = coeff * kernel(r)
+        word = tuple(n + sign * r for n, r in zip(mono, rs))
+        pieces.append((normalize_word(word), Coeff.from_qrat(coeff)))
+    return Element({m: c / Q_DIFF for m, c in _linear_sum(pieces)._terms.items()})
 
 
 def xplus_recursive(k, mono, lam):
@@ -253,6 +275,15 @@ class TestCartanCurrents:
                     expected = diff_oracle(p, v)
                     assert _psi_phi_diff(p, mono, lam) == expected.element(0), (h, mono, p)
                     assert current_commutator(p, v) == expected, (h, mono, p)
+
+    def test_closed_weight_matches_kernel_product(self):
+        # words of length 3 and x[1]x[0]^n reach three nonzero parts
+        cases = [(mono, p) for mono in enumerate_all(3, (-2, 2)) for p in range(-5, 6)]
+        cases += [((1,) + (0,) * n, p) for n in range(9) for p in range(-3, 4)]
+        for h in (1, -2):
+            lam = HighestWeight(h, 0)
+            for mono, p in cases:
+                assert _psi_phi_diff(p, mono, lam) == diff_kernel_product(p, mono, lam), (h, mono, p)
 
 
 class TestRaising:
