@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .check import Check
@@ -34,9 +35,9 @@ from .qalgebra import (
 from . import kashiwara, pairing
 from .kashiwara import PSI, check_kashiwara_relation, omega_apply, omega_mono, omega_psi_closed
 from .verma import (
+    GENERATORS,
     HighestWeight,
     _h_scalar,
-    act_chevalley,
     act_D,
     act_h,
     act_K,
@@ -169,12 +170,15 @@ def suite_confluence(
     )
 
 
+# bounds of the closed-formula oracle and the locality check in suite_relations
+ORACLE_MAX_LENGTH = 3
+ORACLE_P = (-5, 5)
+
+
 def suite_relations(
     comp_range: tuple[int, int] = (-2, 2),
     max_length: int = 2,
     window: tuple[int, int] = (-2, 2),
-    oracle_max_length: int = 3,
-    oracle_p: tuple[int, int] = (-5, 5),
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
     results = [
@@ -183,18 +187,18 @@ def suite_relations(
     ]
 
     oracle = Check("oracle-psi-closed")
-    for mono in enumerate_all(oracle_max_length, window):
-        for p in range(oracle_p[0], oracle_p[1] + 1):
+    for mono in enumerate_all(ORACLE_MAX_LENGTH, window):
+        for p in range(ORACLE_P[0], ORACLE_P[1] + 1):
             oracle.checked += 1
             if omega_psi_closed(p, mono) != omega_mono(PSI, p, mono):
                 oracle.witnesses.append(f"closed formula disagrees at p={p}, x{list(mono)}")
     results.append(oracle)
 
     locality = Check("locality-support")
-    for mono in enumerate_all(oracle_max_length, window):
+    for mono in enumerate_all(ORACLE_MAX_LENGTH, window):
         if not mono:
             continue
-        for p in range(oracle_p[0] - 2, oracle_p[1] + 3):
+        for p in range(ORACLE_P[0] - 2, ORACLE_P[1] + 3):
             locality.checked += 1
             img = omega_mono(PSI, p, mono)
             if p < -max(mono) and not img.is_zero:
@@ -216,8 +220,8 @@ def suite_relations(
             "components": list(comp_range),
             "max_length": max_length,
             "window": list(window),
-            "oracle_max_length": oracle_max_length,
-            "oracle_p": list(oracle_p),
+            "oracle_max_length": ORACLE_MAX_LENGTH,
+            "oracle_p": list(ORACLE_P),
         },
         seed,
         results,
@@ -306,13 +310,16 @@ def suite_form(
     )
 
 
+# the raising indices n of the (x+[n])^t probes in suite_module
+NILPOTENCY_RANGE = (-3, 3)
+
+
 def suite_module(
     weights: tuple[int, ...] = (1, 2, -1),
     d: int = 0,
     max_length: int = 3,
     window: tuple[int, int] = (-2, 2),
     comp_range: tuple[int, int] = (-2, 2),
-    nilpotency_range: tuple[int, int] = (-3, 3),
     seed: int = DEFAULT_SEED,
     corrupt: str | None = None,
 ) -> SuiteReport:
@@ -376,7 +383,7 @@ def suite_module(
                         if not img.is_zero and img.weight() != Weight(k0, d0 + n):
                             weight_dec.witnesses.append(f"h_{n} weight wrong on {tag}")
 
-            for n in range(nilpotency_range[0], nilpotency_range[1] + 1):
+            for n in range(NILPOTENCY_RANGE[0], NILPOTENCY_RANGE[1] + 1):
                 nilp.checked += 1
                 t = nilpotency_probe(n, v, len(mono) + 1)
                 if t is None:
@@ -427,7 +434,7 @@ def suite_module(
             "max_length": max_length,
             "window": list(window),
             "components": list(comp_range),
-            "nilpotency_range": list(nilpotency_range),
+            "nilpotency_range": list(NILPOTENCY_RANGE),
             "corrupt": corrupt,
         },
         seed,
@@ -596,7 +603,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="imcrystal",
         description="Exact computation in the lower half of quantum affine sl2.",
@@ -628,8 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("act", help="apply a module generator to (expr) . v")
-    p.add_argument("--gen", required=True,
-                   choices=("x+", "x-", "h", "K", "D", "E0", "E1", "F0", "F1", "K0", "K1"))
+    p.add_argument("--gen", required=True, choices=tuple(GENERATORS))
     p.add_argument("-k", type=int, default=0, help="generator index for x+/x-/h")
     p.add_argument("--h", type=int, required=True, dest="hw",
                    help="highest weight value on h (nonzero)")
@@ -723,23 +731,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PASS
 
         if args.command == "act":
-            if args.hw == 0:
-                print("not in reduced category: need h != 0", file=sys.stderr)
-                return EXIT_DOMAIN
             module = direct_sum([HighestWeight(args.hw, args.dw)])
             v = module.inject(0, parse_element(args.expr).specialize_gamma_one())
-            if args.gen == "x-":
-                out = act_xminus(args.k, v)
-            elif args.gen == "x+":
-                out = act_xplus(args.k, v)
-            elif args.gen == "h":
-                out = act_h(args.k, v)
-            elif args.gen == "K":
-                out = act_K(v)
-            elif args.gen == "D":
-                out = act_D(v)
-            else:
-                out = act_chevalley(args.gen, v)
+            out = GENERATORS[args.gen](args.k, v)
             _emit({"vector": format_vector(out)}, args.format, format_vector(out))
             return EXIT_PASS
 

@@ -5,13 +5,14 @@ multiplication and the psi-side annihilation operators:
 
     (x[m] a, b) = (a, psi(-m) b)
 
-Evaluation peels the leftmost factor of the first argument and recurses;
-the base case reads off the coefficient of the empty monomial.  Everything
-here lives at gamma = 1.  Monomials of different weights pair to zero, the
-Gram matrix of any fixed weight is congruent to the identity modulo q^2,
-and an element u belongs to the crystal lattice exactly when all its
-pairings against normal monomial vectors are regular at 0; the probe below
-tests that on a finite index window.
+So (x[m_1]...x[m_k], b) = (1, psi(-m_k)...psi(-m_1) b): evaluation is a
+chain that applies psi(-m) to b for each factor m of the first argument,
+left to right, and then reads off the coefficient of the empty monomial.
+Everything here lives at gamma = 1.  Monomials of different weights pair
+to zero, the Gram matrix of any fixed weight is congruent to the identity
+modulo q^2, and an element u belongs to the crystal lattice exactly when
+all its pairings against normal monomial vectors are regular at 0; the
+probe below tests that on a finite index window.
 """
 
 from __future__ import annotations
@@ -21,24 +22,20 @@ from dataclasses import dataclass
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
 from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis, format_monomial
-from .kashiwara import PSI, omega_mono
+from .kashiwara import PSI, omega_apply
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
 
 
 def _pair_monos(ma: Monomial, mb: Monomial) -> Coeff:
-    if not ma:
-        # (1, w) reads off the coefficient of the empty monomial
-        return Coeff.one() if not mb else Coeff.zero()
     key = (ma, mb)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    image = omega_mono(PSI, -ma[0], mb).specialize_gamma_one()
-    out = _linear_sum(
-        (Element.scalar(_pair_monos(ma[1:], mono)), c) for mono, c in image._terms.items()
-    ).coefficient(())
-    _PAIR_CACHE[key] = out
+    b = Element({mb: Coeff.one()})
+    for m in ma:
+        b = omega_apply(PSI, -m, b).specialize_gamma_one()
+    _PAIR_CACHE[key] = out = b.coefficient(())
     return out
 
 

@@ -15,8 +15,10 @@ depend on the rewrite strategy.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .qcoeff import Coeff, QRat, format_coeff
@@ -228,14 +230,7 @@ def rewrite_once(word: Monomial, position: int) -> list[tuple[Coeff, Monomial]]:
 def termination_measure(word: Monomial) -> tuple[int, int]:
     """(sum of squared indices, inversion count); each rewrite strictly
     decreases it lexicographically within a weight."""
-    sq = sum(i * i for i in word)
-    inv = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] < word[j]
-    )
-    return (sq, inv)
+    return (sum(i * i for i in word), sum(a < b for a, b in combinations(word, 2)))
 
 
 def normalize_word(word: Sequence[int], strategy: str = "leftmost") -> Element:
@@ -284,27 +279,13 @@ def enumerate_basis(
     length: int, window: tuple[int, int], degree: int | None = None
 ) -> list[Monomial]:
     """All normal monomials of the given length with indices in the window,
-    optionally filtered by total degree, in decreasing lexicographic order."""
+    optionally filtered by total degree, in decreasing lexicographic order:
+    the multisets of the window, each listed in decreasing order."""
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    out: list[Monomial] = []
-
-    def rec(prefix: tuple[int, ...], top: int) -> None:
-        if len(prefix) == length:
-            if degree is None or sum(prefix) == degree:
-                out.append(prefix)
-            return
-        rest = length - len(prefix)
-        for i in range(top, lo - 1, -1):
-            if degree is not None:
-                partial = sum(prefix) + i
-                if partial + (rest - 1) * lo > degree or partial + (rest - 1) * hi < degree:
-                    continue
-            rec(prefix + (i,), i)
-
-    rec((), hi)
-    return out
+    monos = combinations_with_replacement(range(hi, lo - 1, -1), length)
+    return [m for m in monos if degree is None or sum(m) == degree]
 
 
 def enumerate_all(max_length: int, window: tuple[int, int]) -> list[Monomial]:
@@ -325,31 +306,18 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")", "[", "]"}
+# integers (decimal digits only: the ones int() reads), names and operators;
+# any other character but whitespace is an unknown symbol
+_TOKEN = re.compile(r"(\d+)|([qgx])|([-+*/^()\[\]])|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif ch in ("q", "g", "x"):
-            tokens.append(("NAME", ch, i))
-            i += 1
-        elif ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unknown symbol {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        integer, name, op, other = match.groups()
+        if other:
+            raise ParseError(f"unknown symbol {other!r}", match.start())
+        tokens.append(("INT" if integer else "NAME" if name else op, match[0], match.start()))
     tokens.append(("END", "", len(text)))
     return tokens
 

@@ -105,13 +105,6 @@ def _pquo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _pcontent(p: tuple[int, ...]) -> int:
-    c = 0
-    for x in p:
-        c = math.gcd(c, x)
-    return c
-
-
 def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd with positive leading coefficient."""
     fa = [Fraction(x) for x in a]
@@ -128,11 +121,9 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             if not fa:
                 break
         fa, fb = fb, fa
-    lcm = 1
-    for x in fa:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in fa))
     ints = _ptrim(int(x * lcm) for x in fa)
-    c = _pcontent(ints)
+    c = math.gcd(*ints)
     if ints[-1] < 0:
         c = -c
     return tuple(x // c for x in ints)
@@ -207,7 +198,7 @@ class QRat:
         if self.den == (1,) and other.den == (1,):
             # Laurent fast path: combine over a common integer denominator
             qa, qb = self.scale.denominator, other.scale.denominator
-            lcm = qa * qb // math.gcd(qa, qb)
+            lcm = math.lcm(qa, qb)
             a = self.scale.numerator * (lcm // qa)
             b = other.scale.numerator * (lcm // qb)
             size = max(
@@ -322,13 +313,13 @@ def _canon(scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ..
     while den[0] == 0:
         den = den[1:]
         shift -= 1
-    cn = _pcontent(num)
+    cn = math.gcd(*num)
     if num[-1] < 0:
         cn = -cn
     if cn != 1:
         scale *= cn
         num = tuple(x // cn for x in num)
-    cd = _pcontent(den)
+    cd = math.gcd(*den)
     if den[-1] < 0:
         cd = -cd
     if cd != 1:
@@ -344,9 +335,7 @@ def _canon(scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ..
 
 
 def _canon_frac(coeffs: list[Fraction], den: tuple[int, ...], shift: int) -> QRat:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     return _canon(Fraction(1, lcm), shift, _ptrim(int(c * lcm) for c in coeffs), den)
 
 

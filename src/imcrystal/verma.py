@@ -300,23 +300,30 @@ def act_xplus(k: int, v: VermaVector) -> VermaVector:
     return _extend(v, lambda mono, lam: _xplus_mono(k, mono, lam))
 
 
+# every module generator by its command-line name, as a function of the
+# index k (read by x+, x- and h only) and the vector
+GENERATORS: dict[str, Callable[[int, VermaVector], VermaVector]] = {
+    "x+": lambda k, v: act_xplus(k, v),
+    "x-": lambda k, v: act_xminus(k, v),
+    "h": lambda k, v: act_h(k, v),
+    "K": lambda k, v: act_K(v),
+    "D": lambda k, v: act_D(v),
+    "E0": lambda k, v: act_xminus(1, act_K(v, -1)),
+    "E1": lambda k, v: act_xplus(0, v),
+    "F0": lambda k, v: act_K(act_xplus(-1, v), 1),
+    "F1": lambda k, v: act_xminus(0, v),
+    "K0": lambda k, v: act_K(v, -1),
+    "K1": lambda k, v: act_K(v, 1),
+}
+
+_CHEVALLEY = ("E0", "E1", "F0", "F1", "K0", "K1", "D")
+
+
 def act_chevalley(gen: str, v: VermaVector) -> VermaVector:
     """Chevalley generators through the loop-generator dictionary."""
-    if gen == "E0":
-        return act_xminus(1, act_K(v, -1))
-    if gen == "F0":
-        return act_K(act_xplus(-1, v), 1)
-    if gen == "E1":
-        return act_xplus(0, v)
-    if gen == "F1":
-        return act_xminus(0, v)
-    if gen == "K0":
-        return act_K(v, -1)
-    if gen == "K1":
-        return act_K(v, 1)
-    if gen == "D":
-        return act_D(v, 1)
-    raise ValueError(f"unknown Chevalley generator {gen!r}")
+    if gen not in _CHEVALLEY:
+        raise ValueError(f"unknown Chevalley generator {gen!r}")
+    return GENERATORS[gen](0, v)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,11 @@ def nilpotency_probe(n: int, v: VermaVector, cap: int) -> int | None:
     return None
 
 
-def simplicity_probe(v: VermaVector, index_pad: int = 2) -> list[int] | None:
+# how far past the indices of v the raising indices of simplicity_probe reach
+_INDEX_PAD = 2
+
+
+def simplicity_probe(v: VermaVector) -> list[int] | None:
     """Search for a sequence of raising actions taking v to a nonzero
     multiple of a highest-weight vector; returns the index sequence.
 
@@ -350,7 +361,7 @@ def simplicity_probe(v: VermaVector, index_pad: int = 2) -> list[int] | None:
 
     def raised(vec: VermaVector, path: list[int]):
         idx = [i for e in vec.components.values() for m in e.monomials() for i in m]
-        for n in range(-max(idx) - index_pad, -min(idx) + index_pad + 1):
+        for n in range(-max(idx) - _INDEX_PAD, -min(idx) + _INDEX_PAD + 1):
             w = act_xplus(n, vec)
             if not w.is_zero:
                 yield w, path + [n]

@@ -99,7 +99,6 @@ def test_criterion_4_bilinear_form():
 def _module_report():
     return suite_module(
         weights=(1, 2, -1), d=0, max_length=3, window=(-2, 2), comp_range=(-2, 2),
-        nilpotency_range=(-3, 3),
     )
 
 

@@ -47,6 +47,16 @@ class TestNormalize:
         code, _, err = run("normalize", "x[0]*?")
         assert code == EXIT_PARSE and "position" in err
 
+    def test_non_decimal_digit_is_parse_error(self):
+        # '²' is a digit to str.isdigit but not a decimal digit, so int()
+        # rejects it: the tokenizer must reject it first
+        code, out, err = run("normalize", "x[²]")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "parse error: unknown symbol '²' (at position 2)"
+        # a decimal digit of another script is an integer
+        code, out, _ = run("normalize", "x[٣]")
+        assert code == EXIT_PASS and out == "x[3]"
+
 
 class TestOmega:
     def test_psi_recursion_example(self):
@@ -97,6 +107,26 @@ class TestAct:
         code, _, err = run("act", "--gen", "x+", "-k", "0", "--h", "0", "x[0]")
         assert code == EXIT_DOMAIN and "reduced" in err
 
+    @pytest.mark.parametrize(
+        "gen, expected",
+        [
+            ("x+", "[0] (-q^-1-q)*x[1] @ (h=2,d=1)"),
+            ("x-", "[0] x[1]x[0]x[0] @ (h=2,d=1)"),
+            ("h", "[0] (-q^-1-2*q-q^3)*x[1]x[0] @ (h=2,d=1)"),
+            ("K", "[0] q^-2*x[0]x[0] @ (h=2,d=1)"),
+            ("D", "[0] q*x[0]x[0] @ (h=2,d=1)"),
+            ("E0", "[0] q^2*x[1]x[0]x[0] @ (h=2,d=1)"),
+            ("E1", "[0] (q^-1+q)*x[0] @ (h=2,d=1)"),
+            ("F0", "[0] (-q^-1-q)*x[-1] @ (h=2,d=1)"),
+            ("F1", "[0] x[0]x[0]x[0] @ (h=2,d=1)"),
+            ("K0", "[0] q^2*x[0]x[0] @ (h=2,d=1)"),
+            ("K1", "[0] q^-2*x[0]x[0] @ (h=2,d=1)"),
+        ],
+    )
+    def test_every_generator(self, gen, expected):
+        code, out, _ = run("act", "--gen", gen, "-k", "1", "--h", "2", "--d", "1", "x[0]x[0]")
+        assert code == EXIT_PASS and out == expected
+
     def test_chevalley(self):
         code, out, _ = run("act", "--gen", "K0", "--h", "2", "1")
         assert code == EXIT_PASS and out == "[0] q^-2 @ (h=2,d=0)"
@@ -104,6 +134,10 @@ class TestAct:
     def test_heisenberg(self):
         code, out, _ = run("act", "--gen", "h", "-k", "1", "--h", "1", "x[0]")
         assert code == EXIT_PASS and out == "[0] (-q^-1-q)*x[1] @ (h=1,d=0)"
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestVerify:

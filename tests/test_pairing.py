@@ -5,9 +5,11 @@ import random
 import pytest
 
 from imcrystal.qcoeff import Coeff
-from imcrystal.qalgebra import Element, Weight, enumerate_all, enumerate_basis
-from imcrystal.kashiwara import PSI, omega_apply
+from imcrystal.qalgebra import Element, Weight, _linear_sum, enumerate_all, enumerate_basis
+from imcrystal.kashiwara import PSI, omega_apply, omega_mono
+from imcrystal import pairing
 from imcrystal.pairing import (
+    _pair_monos,
     gram,
     lattice_membership_probe,
     orthonormality_report,
@@ -21,6 +23,22 @@ def x(*indices):
 
 ONE = Coeff.one()
 Q2 = Coeff.q_power(4)
+
+
+def pair_monos_recursive(ma, mb, memo):
+    """The replaced evaluation, kept as an oracle: peel the leftmost factor
+    of the first argument and recurse on each monomial of psi(-m) b, with
+    its own memo of suffix pairs."""
+    if not ma:
+        return ONE if not mb else Coeff.zero()
+    key = (ma, mb)
+    if key not in memo:
+        image = omega_mono(PSI, -ma[0], mb).specialize_gamma_one()
+        memo[key] = _linear_sum(
+            (Element.scalar(pair_monos_recursive(ma[1:], mono, memo)), c)
+            for mono, c in image._terms.items()
+        ).coefficient(())
+    return memo[key]
 
 
 class TestPairExamples:
@@ -91,6 +109,26 @@ class TestGram:
         d = gram(Weight(2, 2), (0, 2)).to_dict()
         assert d["basis"] == ["x[2]x[0]", "x[1]x[1]"]
         assert d["residues_mod_q2"] == [["1", "0"], ["0", "1"]]
+
+
+class TestChain:
+    def test_matches_recursive_evaluation(self, monkeypatch):
+        monkeypatch.setattr(pairing, "_PAIR_CACHE", {})
+        memo = {}
+        monos = enumerate_all(3, (-2, 2))
+        for ma in monos:
+            for mb in monos:
+                assert _pair_monos(ma, mb) == pair_monos_recursive(ma, mb, memo), (ma, mb)
+
+    def test_no_self_call(self, monkeypatch):
+        chain = pairing._pair_monos
+
+        def refuse(*args):
+            raise AssertionError("_pair_monos called itself")
+
+        monkeypatch.setattr(pairing, "_PAIR_CACHE", {})
+        monkeypatch.setattr(pairing, "_pair_monos", refuse)
+        assert chain((1, 1), (1, 1)) == ONE + Q2
 
 
 class TestProperties:

@@ -20,6 +20,7 @@ from imcrystal.qalgebra import (
     termination_measure,
     weight_of,
     _linear_sum,
+    _tokenize,
 )
 from imcrystal.verma import HighestWeight, _xplus_mono
 
@@ -119,6 +120,38 @@ class TestEnumerate:
         for m in enumerate_basis(4, (-2, 2)):
             assert all(m[i] >= m[i + 1] for i in range(3))
 
+    def test_matches_recursive_enumerator(self):
+        for lo in range(-3, 4):
+            for hi in range(lo, 4):
+                for length in range(5):
+                    for degree in [None, *range(length * lo - 1, length * hi + 2)]:
+                        assert enumerate_basis(length, (lo, hi), degree) == enumerate_recursive(
+                            length, (lo, hi), degree
+                        ), (length, (lo, hi), degree)
+
+
+def enumerate_recursive(length, window, degree=None):
+    """The replaced enumerator, kept as an oracle: a depth-first walk over
+    decreasing prefixes that prunes prefixes which cannot reach the degree."""
+    lo, hi = window
+    out = []
+
+    def rec(prefix, top):
+        if len(prefix) == length:
+            if degree is None or sum(prefix) == degree:
+                out.append(prefix)
+            return
+        rest = length - len(prefix)
+        for i in range(top, lo - 1, -1):
+            if degree is not None:
+                partial = sum(prefix) + i
+                if partial + (rest - 1) * lo > degree or partial + (rest - 1) * hi < degree:
+                    continue
+            rec(prefix + (i,), i)
+
+    rec((), hi)
+    return out
+
 
 class TestGrammar:
     def test_parse_applies_normalize(self):
@@ -196,6 +229,56 @@ def test_format_parse_round_trip(word):
 def test_round_trip_with_gamma_coefficients(word, qh, gh):
     e = normalize_word(word) * (Coeff.q_power(qh) * Coeff.gamma_power(gh) * 3)
     assert parse_element(format_element(e)) == e
+
+
+def tokenize_scanner(text):
+    """The replaced character scanner, kept as an oracle for _tokenize."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+        elif ch in ("q", "g", "x"):
+            tokens.append(("NAME", ch, i))
+            i += 1
+        elif ch in "+-*/^()[]":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unknown symbol {ch!r}", i)
+    tokens.append(("END", "", len(text)))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return (str(err), err.position)
+
+
+# the token alphabet, decimal digits of other scripts, whitespace and
+# non-ASCII letters; no character that str.isdigit accepts but int() does
+# not (such as '²'), where the scanner and the regex differ on purpose
+token_text = st.text(
+    st.sampled_from("0123456789qgx+-*/^()[]٣۵७ \t\n\x0b\x1c\xa0\u2003\u3000")
+    | st.characters(categories=("L",), min_codepoint=128),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_text)
+def test_tokenize_matches_scanner(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(tokenize_scanner, text)
 
 
 # ---------------------------------------------------------------------------
