@@ -695,21 +695,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "normalize":
-            e = parse_element(args.expr)
-            _emit({"element": format_element(e)}, args.format, format_element(e))
+            text = format_element(parse_element(args.expr))
+            _emit({"element": text}, args.format, text)
             return EXIT_PASS
 
         if args.command == "omega":
             e = parse_element(args.expr)
-            out = omega_apply(args.kind, args.p, e)
-            _emit({"element": format_element(out)}, args.format, format_element(out))
+            text = format_element(omega_apply(args.kind, args.p, e))
+            _emit({"element": text}, args.format, text)
             return EXIT_PASS
 
         if args.command == "pair":
             a = parse_element(args.lhs).specialize_gamma_one()
             b = parse_element(args.rhs).specialize_gamma_one()
             value = pairing.pair(a, b)
-            text = format_coeff(value)
+            shown = format_coeff(value)
+            text = shown
             if value.is_regular_at_zero():
                 r = value.constant_at_zero()
                 if congruent_mod_q2(value, r):
@@ -718,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
                     text += " (not congruent to a rational mod q^2)"
             else:
                 text += " (pole at q = 0)"
-            _emit({"value": format_coeff(value), "display": text}, args.format, text)
+            _emit({"value": shown, "display": text}, args.format, text)
             return EXIT_PASS
 
         if args.command == "gram":
@@ -733,8 +734,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "act":
             module = direct_sum([HighestWeight(args.hw, args.dw)])
             v = module.inject(0, parse_element(args.expr).specialize_gamma_one())
-            out = GENERATORS[args.gen](args.k, v)
-            _emit({"vector": format_vector(out)}, args.format, format_vector(out))
+            text = format_vector(GENERATORS[args.gen](args.k, v))
+            _emit({"vector": text}, args.format, text)
             return EXIT_PASS
 
         if args.command == "verify":

@@ -28,12 +28,13 @@ psi operators and left multiplication, with gamma kept formal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 from typing import Iterator
 
 from .check import Check
-from .qcoeff import Coeff, g_coeff, g_coeff_bar
+from .qcoeff import Coeff, g_coeff
 from .qalgebra import (
     Element,
     Monomial,
@@ -62,6 +63,17 @@ class OmegaKind:
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}
 
 
+@lru_cache(maxsize=None)
+def _kernel(sign: int, r: int) -> Coeff:
+    """g_coeff(r) gamma^r for sign 1, g_coeff_bar(r) gamma^r for sign -1:
+    q^(2 sign) for r = 0, else q^(sign(2r+2)) - q^(sign(2r-2)) times gamma^r."""
+    if r == 0:
+        return Coeff.q_power(4 * sign)
+    return (Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))) * (
+        Coeff.gamma_power(2 * r)
+    )
+
+
 def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
     """Apply one annihilation-operator component to a normal monomial."""
     key = (kind, p, mono)
@@ -71,9 +83,9 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
     pieces: list[tuple[Element, Coeff]] = []
     if mono:
         if kind == PSI:
-            sign, kernel = 1, g_coeff
+            sign = 1
         elif kind == PHI:
-            sign, kernel = -1, g_coeff_bar
+            sign = -1
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         m, rest = mono[0], mono[1:]
@@ -84,7 +96,7 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
         for r in range(rmax + 1):
             sub = omega_mono(kind, p - sign * r, rest)
             if sub:
-                c = Coeff.from_qrat(kernel(r)) * Coeff.gamma_power(2 * r)
+                c = _kernel(sign, r)
                 pieces.extend(
                     (normalize_word((m + sign * r,) + w), d * c) for w, d in sub._terms.items()
                 )
@@ -205,7 +217,7 @@ def _residual(relation: str, comps: tuple[int, ...], e: Element) -> Element:
             if mono:
                 rmax = max(rmax, k + max(mono))
         for r in range(rmax + 1):
-            c = Coeff.from_qrat(g_coeff_bar(r)) * _gam(2 * r)
+            c = _kernel(-1, r) * _gam(r)
             out = out - omega_apply(PHI, m + r, omega_apply(PSI, k - r, e)) * c
         return out
     if relation == "serre-x":

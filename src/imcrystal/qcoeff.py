@@ -1,40 +1,34 @@
 """Exact arithmetic in the coefficient ring.
 
 Coefficients are rational functions in ``s = q^(1/2)`` over the rationals,
-extended by Laurent powers of a formal central ``gamma^(1/2)``.  Every
-nonzero rational function is stored q-adically as
+extended by Laurent powers of a formal central ``gamma^(1/2)``.  Exponents
+of both q and gamma are always counted in half units: ``q**2`` has
+half-exponent 4, ``gamma**(1/2)`` has half-exponent 1.
+
+``Coeff`` is the coefficient the algebra computes with.  Every value the
+verification suites produce is a Laurent polynomial, and ``Coeff`` holds
+those in its hot form: one dict ``{(gamma_halfexp, q_halfexp): int}``
+that stores no zero, over one shared positive ``int`` denominator prime
+to the values taken together.  Sums, products and quotients by monomials
+divide out a common factor only when the denominator is not 1.  The form
+is unique as built, so equality compares the dict and the denominator,
+and no step of the hot arithmetic builds a dense polynomial or a
+``Fraction``.
+
+``QRat`` is the public and the cold form: one rational function of s,
+stored q-adically as
 
     scale * s^shift * num(s) / den(s)
 
 where ``scale`` is a nonzero rational, ``shift`` counts half powers of q,
 and ``num``/``den`` are coprime primitive integer polynomials with nonzero
-constant term and positive leading coefficient.  This form is unique, so
-equality of values is equality of tuples, and ``shift`` is exactly the
-q-adic valuation (in half units) used for regularity-at-zero tests.
-
-Exponents of both q and gamma are always counted in half units: ``q**2``
-has half-exponent 4, ``gamma**(1/2)`` has half-exponent 1.
-
-Every value the verification suites produce is a Laurent polynomial
-(``den == (1,)``), and three invariants let sums, products and quotients
-of such values skip the general normalisation in ``_canon``:
-
-* Gauss's lemma: a product of primitive integer polynomials is primitive.
-  Two canonical ``num`` tuples also have positive leading coefficients and
-  nonzero constant terms, so their product is again a canonical ``num``.
-* Exact integer division: if a primitive ``b`` divides a primitive ``a``
-  over the rationals, the quotient is a primitive integer polynomial (with
-  positive leading coefficient and nonzero constant term when ``a`` and
-  ``b`` have them).  So long division in the integers, which stops at the
-  first inexact step or nonzero remainder, either yields the canonical
-  ``num`` of the quotient or shows the quotient is not Laurent; only then
-  does the gcd-based path run.
-* Content and sign: a sum of two Laurent values, written over the common
-  denominator of their scales as one integer polynomial, has no
-  denominator to cancel.  Dropping its zero end coefficients into
-  ``shift`` and dividing out its content, negated when the top
-  coefficient is negative, leaves the canonical ``num``; ``scale`` is
-  that content over the common denominator.
+constant term and positive leading coefficient.  ``_canon`` brings every
+result to this form, which is unique, and ``shift`` is exactly the q-adic
+valuation used for regularity-at-zero tests.  A ``Coeff`` whose value is
+not Laurent (only the parser's division by a non-monomial scalar, or a
+``QRat`` with a denominator, makes one) holds ``{gamma_halfexp: QRat}``
+instead, and its arithmetic goes through ``QRat``.  ``Coeff.items()``
+reads either form as sorted ``(gamma_halfexp, QRat)`` pairs.
 """
 
 from __future__ import annotations
@@ -65,43 +59,22 @@ def _ptrim(p: Iterable[int]) -> tuple[int, ...]:
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product of two polynomials given without trailing zeros."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return ()
-    if len(a) == 1:
-        x = a[0]
-        return b if x == 1 else tuple([x * y for y in b])
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                out[i + j] += x * y
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return tuple(out)
 
 
-def _pquo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Quotient a/b in the integer polynomials, or None if b does not
-    divide a there; operands are given without trailing zeros."""
-    if b == (1,):
-        return a
-    n = len(a) - len(b) + 1
-    if n < 1:
-        return None
+def _pquo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient a/b of integer polynomials given without trailing zeros,
+    where b divides a with an integer quotient."""
     rem = list(a)
-    lead = b[-1]
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        c, r = divmod(rem[i + len(b) - 1], lead)
-        if r:
-            return None
-        if c:
-            out[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    if any(rem[: len(b) - 1]):
-        return None
+    out = [0] * (len(a) - len(b) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = c = rem[i + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
     return tuple(out)
 
 
@@ -195,33 +168,6 @@ class QRat:
         if other.is_zero:
             return self
         shift = min(self.shift, other.shift)
-        if self.den == (1,) and other.den == (1,):
-            # Laurent fast path: combine over a common integer denominator
-            qa, qb = self.scale.denominator, other.scale.denominator
-            lcm = math.lcm(qa, qb)
-            a = self.scale.numerator * (lcm // qa)
-            b = other.scale.numerator * (lcm // qb)
-            size = max(
-                len(self.num) + self.shift - shift, len(other.num) + other.shift - shift
-            )
-            coeffs = [0] * size
-            for i, c in enumerate(self.num):
-                coeffs[i + self.shift - shift] += a * c
-            for i, c in enumerate(other.num):
-                coeffs[i + other.shift - shift] += b * c
-            # canonical by content and sign alone (module docstring)
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs:
-                return _QRAT_ZERO
-            lead = 0
-            while not coeffs[lead]:
-                lead += 1
-            c = math.gcd(*coeffs)
-            if coeffs[-1] < 0:
-                c = -c
-            num = tuple(coeffs[lead:]) if c == 1 else tuple([x // c for x in coeffs[lead:]])
-            return QRat(Fraction(c, lcm), shift + lead, num, (1,))
         n1 = [self.scale * c for c in _pmul(self.num, other.den)]
         n2 = [other.scale * c for c in _pmul(other.num, self.den)]
         coeffs = [Fraction(0)] * max(len(n1) + self.shift - shift, len(n2) + other.shift - shift)
@@ -241,14 +187,6 @@ class QRat:
             return self
         if not self.scale or not other.scale:
             return _QRAT_ZERO
-        if self.den == (1,) and other.den == (1,):
-            # canonical as it stands, by Gauss's lemma (module docstring)
-            return QRat(
-                self.scale * other.scale,
-                self.shift + other.shift,
-                _pmul(self.num, other.num),
-                (1,),
-            )
         return _canon(
             self.scale * other.scale,
             self.shift + other.shift,
@@ -261,11 +199,6 @@ class QRat:
             raise CoefficientError("division by zero")
         if self.is_zero:
             return _QRAT_ZERO
-        if self.den == (1,) and other.den == (1,):
-            num = _pquo(self.num, other.num)
-            if num is not None:
-                # canonical as it stands, by exact division (module docstring)
-                return QRat(self.scale / other.scale, self.shift - other.shift, num, (1,))
         return _canon(
             self.scale / other.scale,
             self.shift - other.shift,
@@ -381,49 +314,73 @@ Q_DIFF = QRat.from_laurent({2: 1, -2: -1})  # q - q^-1
 
 
 # ---------------------------------------------------------------------------
-# Coeff: Laurent combination of QRat values over powers of gamma^(1/2)
+# Coeff: sparse Laurent map over a shared denominator
+
+
+_Key = tuple[int, int]  # (gamma half-exponent, q half-exponent)
+_UNIT: dict[_Key, int] = {(0, 0): 1}
+_new = object.__new__
 
 
 class Coeff:
-    """Finite sum of QRat coefficients weighted by powers of gamma^(1/2).
+    """A coefficient: a value of the ring in one of two canonical forms.
 
-    Keys of the internal map are gamma half-exponents.  Values never store
-    a zero QRat.  Treated as immutable.
+    Hot form (every Laurent value): ``_t`` maps (gamma half-exponent,
+    q half-exponent) to a nonzero int and ``_d`` is one shared positive
+    int denominator, prime to the values taken together; ``_cold`` is
+    None.  Cold form (any other value): ``_cold`` maps gamma
+    half-exponents to nonzero QRat values, one of them at least with a
+    denominator, and ``_t`` is empty with ``_d`` 1.  Treated as immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_t", "_d", "_cold")
 
     def __init__(self, terms: dict[int, QRat] | None = None):
-        self._terms = {g: r for g, r in (terms or {}).items() if not r.is_zero}
+        terms = {g: r for g, r in (terms or {}).items() if not r.is_zero}
+        self._t: dict[_Key, int] = {}
+        self._d = 1
+        self._cold: dict[int, QRat] | None = None
+        if any(r.den != (1,) for r in terms.values()):
+            self._cold = terms
+            return
+        # canonical as built: a prime dividing d divides the scale
+        # denominator of some term to the highest power, and the values of
+        # that term are a primitive num times a numerator prime to it
+        self._d = d = math.lcm(*(r.scale.denominator for r in terms.values()))
+        for g, r in terms.items():
+            m = r.scale.numerator * (d // r.scale.denominator)
+            for i, c in enumerate(r.num):
+                if c:
+                    self._t[g, r.shift + i] = m * c
 
-    @staticmethod
-    def _of(terms: dict[int, QRat]) -> Coeff:
-        """Wrap a map already free of zero values, without copying it."""
-        out = Coeff.__new__(Coeff)
-        out._terms = terms
-        return out
+    def _qrats(self) -> dict[int, QRat]:
+        """The value as {gamma half-exponent: QRat}."""
+        if self._cold is not None:
+            return self._cold
+        return {g: _laurent_qrat(pairs, self._d) for g, pairs in _by_gamma(self._t).items()}
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> Coeff:
-        return Coeff()
+        return _hot({})
 
     @staticmethod
     def one() -> Coeff:
-        return Coeff({0: QRat.one()})
+        return _hot({(0, 0): 1})
 
     @staticmethod
     def rational(x: Rational) -> Coeff:
-        return Coeff({0: QRat.rational(x)})
+        x = Fraction(x)
+        return _hot({(0, 0): x.numerator} if x else {}, x.denominator)
 
     @staticmethod
     def q_power(halfexp: int) -> Coeff:
-        return Coeff({0: QRat.q_power(halfexp)})
+        return _hot({(0, halfexp): 1})
 
     @staticmethod
     def gamma_power(halfexp: int) -> Coeff:
-        return Coeff({halfexp: QRat.one()})
+        return _hot({(halfexp, 0): 1})
 
     @staticmethod
     def from_qrat(r: QRat, gamma_halfexp: int = 0) -> Coeff:
@@ -431,43 +388,62 @@ class Coeff:
 
     @staticmethod
     def quantum(n: int) -> Coeff:
-        return Coeff.from_qrat(quantum_int(n))
+        """[n] = q^(1-n) + q^(3-n) + ... + q^(n-1), and [-n] = -[n]."""
+        sign, m = (1, n) if n > 0 else (-1, -n)
+        return _hot({(0, 2 * (1 - m) + 4 * i): sign for i in range(m)})
 
     # -- predicates ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._t or self._cold)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._t or self._cold)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self._terms == other._terms
+        return self._t == other._t and self._d == other._d and self._cold == other._cold
 
     def items(self) -> Iterator[tuple[int, QRat]]:
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(self._qrats().items()))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> Coeff:
-        return Coeff._of({g: -r for g, r in self._terms.items()})
+        if self._cold is not None:
+            return Coeff({g: -r for g, r in self._cold.items()})
+        return _hot({k: -v for k, v in self._t.items()}, self._d)
 
     def __add__(self, other: Coeff) -> Coeff:
-        if not other._terms:
+        if self._cold is not None or other._cold is not None:
+            out = dict(self._qrats())
+            for g, r in other._qrats().items():
+                out[g] = out[g] + r if g in out else r
+            return Coeff(out)
+        a, b = self._t, other._t
+        if not b:
             return self
-        if not self._terms:
+        if not a:
             return other
-        out = dict(self._terms)
-        for g, r in other._terms.items():
-            s = out[g] + r if g in out else r
-            if s.is_zero:
-                del out[g]
+        da, db = self._d, other._d
+        if len(a) < len(b):
+            a, b, da, db = b, a, db, da
+        # fold the smaller map into a copy of the larger one, both over d
+        d = math.lcm(da, db)
+        m = d // da
+        t = a.copy() if m == 1 else {k: v * m for k, v in a.items()}
+        m = d // db
+        if m != 1:
+            b = {k: v * m for k, v in b.items()}
+        for k, v in b.items():
+            v += t.get(k, 0)
+            if v:
+                t[k] = v
             else:
-                out[g] = s
-        return Coeff._of(out)
+                del t[k]
+        return _hot(t) if d == 1 else _reduced(t, d)
 
     def __sub__(self, other: Coeff) -> Coeff:
         return self + (-other)
@@ -475,49 +451,56 @@ class Coeff:
     def __mul__(self, other: Coeff | QRat | Rational) -> Coeff:
         if not isinstance(other, Coeff):
             other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
-        a, b = self._terms, other._terms
-        if len(a) == 1 and len(b) == 1:
-            # one gamma term each: a single product, nonzero as both factors are
-            (g1, r1), = a.items()
-            (g2, r2), = b.items()
-            # the unit returns the other operand, as in QRat.__mul__
-            if not g1 and r1 is _QRAT_ONE:
-                return other
-            if not g2 and r2 is _QRAT_ONE:
-                return self
-            return Coeff._of({g1 + g2: r1 * r2})
-        out: dict[int, QRat] = {}
-        for g1, r1 in a.items():
-            for g2, r2 in b.items():
-                g = g1 + g2
-                s = out[g] + r1 * r2 if g in out else r1 * r2
-                if s.is_zero:
-                    del out[g]
-                else:
-                    out[g] = s
-        return Coeff._of(out)
+        a, b = self._t, other._t
+        # the unit returns the other operand, as in QRat.__mul__
+        if a == _UNIT and self._d == 1:
+            return other
+        if b == _UNIT and other._d == 1:
+            return self
+        if self._cold is not None or other._cold is not None:
+            out: dict[int, QRat] = {}
+            for g1, r1 in self._qrats().items():
+                for g2, r2 in other._qrats().items():
+                    g = g1 + g2
+                    out[g] = out[g] + r1 * r2 if g in out else r1 * r2
+            return Coeff(out)
+        t: dict[_Key, int] = {}
+        for (g1, e1), v1 in a.items():
+            for (g2, e2), v2 in b.items():
+                k = (g1 + g2, e1 + e2)
+                t[k] = t.get(k, 0) + v1 * v2
+        # only a sum of two or more products can cancel
+        if len(a) > 1 < len(b) and 0 in t.values():
+            t = {k: v for k, v in t.items() if v}
+        d = self._d * other._d
+        return _hot(t) if d == 1 else _reduced(t, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Coeff | QRat | Rational) -> Coeff:
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
-        elif isinstance(other, QRat):
-            other = Coeff.from_qrat(other)
+        if not isinstance(other, Coeff):
+            other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
         if other.is_zero:
             raise CoefficientError("division by zero")
-        if len(other._terms) != 1:
+        if len({g for g, _ in other._t} if other._cold is None else other._cold) != 1:
             raise CoefficientError("division only by gamma-homogeneous values")
-        (g0, r0), = other._terms.items()
-        return Coeff._of({g - g0: r / r0 for g, r in self._terms.items()})
+        if self._cold is None and len(other._t) == 1:
+            # by a monomial v/d q^e gamma^g: multiply by d/v, shift the exponents
+            ((g0, e0), v0), = other._t.items()
+            m = other._d if v0 > 0 else -other._d
+            return _reduced(
+                {(g - g0, e - e0): v * m for (g, e), v in self._t.items()}, self._d * abs(v0)
+            )
+        (g0, r0), = other._qrats().items()
+        return Coeff({g - g0: r / r0 for g, r in self._qrats().items()})
 
     # -- inspection ----------------------------------------------------------
 
     def valuation(self) -> int | float:
         """Minimum q-adic valuation over gamma terms; +inf for zero."""
-        if self.is_zero:
-            return math.inf
-        return min(r.shift for r in self._terms.values())
+        if self._cold is not None:
+            return min(r.shift for r in self._cold.values())
+        return min((e for _, e in self._t), default=math.inf)
 
     def is_regular_at_zero(self) -> bool:
         return self.valuation() >= 0
@@ -526,31 +509,74 @@ class Coeff:
         """Value of each gamma term at q = 0; rejects poles."""
         if self.valuation() < 0:
             raise CoefficientError("pole at q = 0")
-        out = {}
-        for g, r in self._terms.items():
-            v = r.at_zero()
-            if v:
-                out[g] = v
-        return out
+        if self._cold is not None:
+            return {g: v for g, r in self._cold.items() if (v := r.at_zero())}
+        return {g: Fraction(v, self._d) for (g, e), v in self._t.items() if not e}
 
     def constant_at_zero(self) -> Fraction:
         """Value at q = 0 for a gamma-free coefficient."""
-        if any(g != 0 for g in self._terms):
+        if not self.is_gamma_free():
             raise CoefficientError("coefficient carries gamma")
         return self.reduce_at_zero().get(0, Fraction(0))
 
     def specialize_gamma_one(self) -> Coeff:
         """Sum all gamma terms: the gamma = 1 specialization."""
-        total = QRat.zero()
-        for r in self._terms.values():
-            total = total + r
-        return Coeff({0: total})
+        if self._cold is not None:
+            return Coeff({0: sum(self._cold.values(), QRat.zero())})
+        out: dict[_Key, int] = {}
+        for (_, e), v in self._t.items():
+            out[0, e] = out.get((0, e), 0) + v
+        return _reduced({k: v for k, v in out.items() if v}, self._d)
 
     def is_gamma_free(self) -> bool:
-        return all(g == 0 for g in self._terms)
+        if self._cold is not None:
+            return all(g == 0 for g in self._cold)
+        return not any(g for g, _ in self._t)
 
     def __repr__(self) -> str:
         return f"Coeff({format_coeff(self)!r})"
+
+
+def _hot(t: dict[_Key, int], d: int = 1) -> Coeff:
+    """Wrap a hot map already free of zero values and prime to d, without
+    copying it."""
+    out = _new(Coeff)
+    out._t, out._d, out._cold = t, d, None
+    return out
+
+
+def _reduced(t: dict[_Key, int], d: int) -> Coeff:
+    """_hot once the common factor of d and the values is divided out."""
+    c = math.gcd(d, *t.values())
+    if c != 1:
+        t = {k: v // c for k, v in t.items()}
+        d //= c
+    return _hot(t, d)
+
+
+def _by_gamma(t: dict[_Key, int]) -> dict[int, list[tuple[int, int]]]:
+    """Ascending (q half-exponent, value) pairs of each gamma term, in
+    increasing gamma half-exponent."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for (g, e), v in sorted(t.items()):
+        out.setdefault(g, []).append((e, v))
+    return out
+
+
+def _content(pairs: list[tuple[int, int]]) -> int:
+    """gcd of the values of ascending pairs, with the sign of the top one."""
+    c = math.gcd(*(v for _, v in pairs))
+    return -c if pairs[-1][1] < 0 else c
+
+
+def _laurent_qrat(pairs: list[tuple[int, int]], d: int) -> QRat:
+    """The QRat of the sum of v/d q^(e/2) over ascending (e, v) pairs."""
+    c = _content(pairs)
+    shift = pairs[0][0]
+    num = [0] * (pairs[-1][0] - shift + 1)
+    for e, v in pairs:
+        num[e - shift] = v // c
+    return QRat(Fraction(c, d), shift, tuple(num), (1,))
 
 
 def congruent_mod_q2(c: Coeff, target: Rational) -> bool:
@@ -569,52 +595,66 @@ def _format_power(name: str, halfexp: int) -> str:
     return f"{name}^({halfexp}/2)"
 
 
-def _format_laurent(terms: list[tuple[int, Fraction]]) -> str:
+def _format_laurent(terms: list[tuple[int, Rational]]) -> str:
     """Ascending list of (halfexp, rational) -> text like '-1+q^2'."""
     parts = []
     for e, c in terms:
-        body = None
+        mag = abs(c)
         if e == 0:
-            body = str(abs(c))
+            body = str(mag)
         else:
-            mag = abs(c)
             pw = _format_power("q", e)
             body = pw if mag == 1 else f"{mag}*{pw}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts)
 
 
-def _format_qrat_term(r: QRat, gamma_halfexp: int) -> str:
-    """One gamma term, sign included in the result."""
+def _format_factored(
+    scale: Fraction,
+    shift: int,
+    num: list[tuple[int, int]],
+    den: list[tuple[int, int]] | None,
+    gamma_halfexp: int,
+) -> str:
+    """scale * q^shift * (num)/(den) * g^gamma, num and den as ascending
+    (halfexp, int) pairs; sign included in the result."""
     factors: list[str] = []
-    sign = "-" if r.scale < 0 else ""
-    mag = abs(r.scale)
-    if r.den == (1,) and gamma_halfexp == 0:
-        # plain Laurent polynomial: merge scale, shift and num
-        terms = [(r.shift + i, r.scale * c) for i, c in enumerate(r.num) if c]
-        return _format_laurent(terms)
+    mag = abs(scale)
     if mag != 1:
         factors.append(str(mag))
-    if r.shift != 0:
-        factors.append(_format_power("q", r.shift))
-    if r.num != (1,):
-        p = _format_laurent([(i, Fraction(c)) for i, c in enumerate(r.num) if c])
-        if r.den != (1,):
-            qtext = _format_laurent([(i, Fraction(c)) for i, c in enumerate(r.den) if c])
-            factors.append(f"({p})/({qtext})")
-        else:
-            factors.append(f"({p})")
-    elif r.den != (1,):
-        qtext = _format_laurent([(i, Fraction(c)) for i, c in enumerate(r.den) if c])
-        factors.append(f"1/({qtext})")
+    if shift != 0:
+        factors.append(_format_power("q", shift))
+    p = None if num == [(0, 1)] else _format_laurent(num)
+    if den is not None:
+        factors.append(f"({p})/({_format_laurent(den)})" if p else f"1/({_format_laurent(den)})")
+    elif p:
+        factors.append(f"({p})")
     if gamma_halfexp != 0:
         factors.append(_format_power("g", gamma_halfexp))
-    if not factors:
-        factors.append("1")
-    return sign + "*".join(factors)
+    return ("-" if scale < 0 else "") + "*".join(factors or ["1"])
+
+
+def _format_laurent_term(pairs: list[tuple[int, int]], d: int, gamma_halfexp: int) -> str:
+    """One gamma term of the hot form, given as ascending (e, v) pairs over d.
+    Without gamma it prints as one polynomial; with gamma, sign, content
+    and q-shift are factored out as the QRat form has them."""
+    if gamma_halfexp == 0:
+        return _format_laurent(pairs if d == 1 else [(e, Fraction(v, d)) for e, v in pairs])
+    c = _content(pairs)
+    shift = pairs[0][0]
+    return _format_factored(
+        Fraction(c, d), shift, [(e - shift, v // c) for e, v in pairs], None, gamma_halfexp
+    )
+
+
+def _format_qrat_term(r: QRat, gamma_halfexp: int) -> str:
+    """One gamma term of the cold form."""
+    if r.den == (1,):
+        pairs = [(r.shift + i, r.scale.numerator * c) for i, c in enumerate(r.num) if c]
+        return _format_laurent_term(pairs, r.scale.denominator, gamma_halfexp)
+    num = [(i, c) for i, c in enumerate(r.num) if c]
+    den = [(i, c) for i, c in enumerate(r.den) if c]
+    return _format_factored(r.scale, r.shift, num, den, gamma_halfexp)
 
 
 def format_coeff(c: Coeff) -> str:
@@ -622,13 +662,11 @@ def format_coeff(c: Coeff) -> str:
     in ascending powers."""
     if c.is_zero:
         return "0"
-    parts = []
-    for g, r in c.items():
-        text = _format_qrat_term(r, g)
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(" - " + text[1:])
-        else:
-            parts.append(" + " + text)
+    if c._cold is None:
+        texts = [_format_laurent_term(pairs, c._d, g) for g, pairs in _by_gamma(c._t).items()]
+    else:
+        texts = [_format_qrat_term(r, g) for g, r in sorted(c._cold.items())]
+    parts = [texts[0]]
+    for text in texts[1:]:
+        parts.append(" - " + text[1:] if text.startswith("-") else " + " + text)
     return "".join(parts)

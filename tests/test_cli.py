@@ -68,6 +68,24 @@ class TestOmega:
         assert code == EXIT_PASS and out == "g^2"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("normalize", "x[0]/(q-q^-1)"), "q*1/(-1+q^2)*x[0]"),
+    (("normalize", "g*x[0]*x[1]/(1+q)"), "q^2*1/(1+q)*g*x[1]x[0]"),
+    (("normalize", "x[0]*2/3*q^(1/2)"), "2/3*q^(1/2)*x[0]"),
+    (("normalize", "(1/2+q^2)*g^(1/2)*x[1]"), "1/2*(1+2*q^2)*g^(1/2)*x[1]"),
+    (("omega", "--kind", "phi", "-p", "-2", "x[0]x[1]x[-1]"),
+     "-q^-8*(-1+q^4)*g^2*x[1]x[-3] + q^-8*(1+q^2-2*q^4-q^6+q^8)*g^2*x[0]x[-2]"
+     " - q^-6*(-1+q^4)*g^2*x[-1]x[-1]"),
+])
+def test_printed_forms(argv, expected):
+    # denominators, fractional scales, half exponents and gamma terms keep
+    # their canonical text, in both output formats
+    code, out, _ = run(*argv)
+    assert code == EXIT_PASS and out == expected
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == EXIT_PASS and json.loads(out) == {"element": expected}
+
+
 class TestPair:
     def test_residue_display(self):
         code, out, _ = run("pair", "x[1]x[1]", "x[1]x[1]")

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from imcrystal.qcoeff import Coeff
+from imcrystal.qcoeff import Coeff, g_coeff, g_coeff_bar
 from imcrystal.qalgebra import Element, Weight, enumerate_all
 from imcrystal.kashiwara import (
     OmegaKind,
@@ -14,6 +14,7 @@ from imcrystal.kashiwara import (
     PSI,
     RELATIONS,
     _compositions,
+    _kernel,
     check_kashiwara_relation,
     omega_apply,
     omega_mono,
@@ -23,6 +24,12 @@ from imcrystal.kashiwara import (
 
 def x(*indices):
     return Element.monomial(indices)
+
+
+@pytest.mark.parametrize("sign,series", [(1, g_coeff), (-1, g_coeff_bar)])
+def test_kernel_is_the_series_term_times_gamma(sign, series):
+    for r in range(12):
+        assert _kernel(sign, r) == Coeff.from_qrat(series(r), 2 * r)
 
 
 class TestRecursionExamples:

@@ -299,8 +299,11 @@ pieces = st.lists(st.tuples(small_elements, st.none() | small_coeffs), max_size=
 
 
 def no_stored_zero(e):
+    # neither a zero Coeff nor a zero value inside one, in either form
     return all(
-        not c.is_zero and all(not r.is_zero for r in c._terms.values())
+        not c.is_zero
+        and all(v != 0 for v in c._t.values())
+        and all(not r.is_zero for r in (c._cold or {}).values())
         for c in e._terms.values()
     )
 

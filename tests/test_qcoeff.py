@@ -234,8 +234,10 @@ def test_coeff_ring_axioms(a, b, c):
 def test_unit_product_is_the_operand(a):
     one = Coeff.one()
     assert one * a == a == a * one
-    if len(a._terms) == 1:
-        assert one * a is a and a * one is a
+    # either form: a unit factor returns the other operand itself, the
+    # left one first when both are units
+    assert one * a is a
+    assert a * one is (one if a == one else a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,3 +460,195 @@ class TestLaurentDivisionCases:
 def test_pmul_matches_dense_product(a, b):
     a, b = naive_pmul(tuple(a), (1,)), naive_pmul(tuple(b), (1,))  # trimmed
     assert _pmul(a, b) == naive_pmul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the sparse Coeff against the {gamma: QRat} form it replaced
+
+
+class RefCoeff:
+    """{gamma half-exponent: QRat}, with the arithmetic and printing Coeff
+    had before its sparse form: the reference for the tests below."""
+
+    def __init__(self, terms):
+        self.terms = {g: r for g, r in terms.items() if not r.is_zero}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for g, r in other.terms.items():
+            out[g] = out[g] + r if g in out else r
+        return RefCoeff(out)
+
+    def __neg__(self):
+        return RefCoeff({g: -r for g, r in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for g1, r1 in self.terms.items():
+            for g2, r2 in other.terms.items():
+                g = g1 + g2
+                out[g] = out[g] + r1 * r2 if g in out else r1 * r2
+        return RefCoeff(out)
+
+    def __truediv__(self, other):
+        (g0, r0), = other.terms.items()
+        return RefCoeff({g - g0: r / r0 for g, r in self.terms.items()})
+
+    def valuation(self):
+        return min((r.shift for r in self.terms.values()), default=math.inf)
+
+    def reduce_at_zero(self):
+        if self.valuation() < 0:
+            raise CoefficientError("pole at q = 0")
+        return {g: v for g, r in self.terms.items() if (v := r.at_zero())}
+
+    def specialize_gamma_one(self):
+        total = QRat.zero()
+        for r in self.terms.values():
+            total = total + r
+        return RefCoeff({0: total})
+
+    def congruent_mod_q2(self, target):
+        return (self - RefCoeff({0: QRat.rational(target)})).valuation() >= 4
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def format(self):
+        parts = []
+        for g, r in self.items():
+            text = ref_format_term(r, g)
+            if not parts:
+                parts.append(text)
+            elif text.startswith("-"):
+                parts.append(" - " + text[1:])
+            else:
+                parts.append(" + " + text)
+        return "".join(parts) or "0"
+
+
+def ref_format_power(name, halfexp):
+    if halfexp % 2 == 0:
+        e = halfexp // 2
+        return name if e == 1 else f"{name}^{e}"
+    return f"{name}^({halfexp}/2)"
+
+
+def ref_format_laurent(terms):
+    parts = []
+    for e, c in terms:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            pw = ref_format_power("q", e)
+            body = pw if mag == 1 else f"{mag}*{pw}"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
+    return "".join(parts)
+
+
+def ref_format_term(r, g):
+    """One gamma term as QRat fields print it: a plain polynomial without
+    gamma, else sign, scale, q-shift, (num)/(den) and the gamma power."""
+    if r.den == (1,) and g == 0:
+        return ref_format_laurent([(r.shift + i, r.scale * c) for i, c in enumerate(r.num) if c])
+    factors = []
+    if abs(r.scale) != 1:
+        factors.append(str(abs(r.scale)))
+    if r.shift != 0:
+        factors.append(ref_format_power("q", r.shift))
+    num = ref_format_laurent([(i, Fraction(c)) for i, c in enumerate(r.num) if c])
+    den = ref_format_laurent([(i, Fraction(c)) for i, c in enumerate(r.den) if c])
+    if r.num != (1,) and r.den != (1,):
+        factors.append(f"({num})/({den})")
+    elif r.num != (1,):
+        factors.append(f"({num})")
+    elif r.den != (1,):
+        factors.append(f"1/({den})")
+    if g != 0:
+        factors.append(ref_format_power("g", g))
+    return ("-" if r.scale < 0 else "") + "*".join(factors or ["1"])
+
+
+@st.composite
+def gamma_terms(draw, max_terms=3):
+    """{gamma half-exponent: QRat}: Laurent values with fractional
+    coefficients and half exponents, or with a denominator in about a
+    third of the terms, over up to max_terms gamma half-exponents."""
+    keys = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                         max_size=max_terms, unique=True))
+    return {
+        g: draw(st.one_of(laurents(allow_zero=True), laurents(), qrats(allow_zero=True)))
+        for g in keys
+    }
+
+
+def in_one_form(c):
+    """Laurent values are sparse maps of nonzero ints over one positive
+    denominator prime to them; any other value keeps its QRat terms."""
+    if c._cold is None:
+        return all(c._t.values()) and c._d > 0 and math.gcd(c._d, *c._t.values()) == 1
+    return c._t == {} and c._d == 1 and any(r.den != (1,) for r in c._cold.values())
+
+
+def same(c, ref):
+    """Coeff c is in canonical form, equal to the Coeff built from the
+    reference terms, and has the pairs and the text of the reference."""
+    return (
+        in_one_form(c)
+        and c == Coeff(ref.terms)
+        and list(c.items()) == ref.items()
+        and format_coeff(c) == ref.format()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma_terms(), gamma_terms())
+def test_sparse_arithmetic_matches_reference(ta, tb):
+    a, b = Coeff(ta), Coeff(tb)
+    ra, rb = RefCoeff(ta), RefCoeff(tb)
+    assert same(a, ra) and same(b, rb)
+    assert same(a + b, ra + rb)
+    assert same(a - b, ra - rb)
+    assert same(-a, -ra)
+    assert same(a * b, ra * rb)
+    assert (a + b == b + a) and (a - a).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma_terms(), qrats(), st.integers(min_value=-3, max_value=3))
+def test_sparse_homogeneous_division_matches_reference(ta, r, g):
+    a, ra = Coeff(ta), RefCoeff(ta)
+    for divisor in (r, QRat.q_power(g) * QRat.rational(r.scale)):
+        assert same(a / Coeff({g: divisor}), ra / RefCoeff({g: divisor}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_terms(), st.sampled_from([0, 1, -1, Fraction(1, 2), 3]))
+def test_sparse_inspection_matches_reference(ta, target):
+    a, ra = Coeff(ta), RefCoeff(ta)
+    assert a.valuation() == ra.valuation()
+    if ra.valuation() < 0:
+        with pytest.raises(CoefficientError):
+            a.reduce_at_zero()
+    else:
+        assert a.reduce_at_zero() == ra.reduce_at_zero()
+    assert same(a.specialize_gamma_one(), ra.specialize_gamma_one())
+    assert congruent_mod_q2(a, target) == ra.congruent_mod_q2(target)
+    assert a.is_gamma_free() == all(g == 0 for g in ra.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_terms())
+def test_built_in_the_form_of_its_value(ta):
+    c = Coeff(ta)
+    assert in_one_form(c)
+    assert (c._cold is None) == all(r.den == (1,) for r in ta.values())
+
+
+def test_quantum_matches_quantum_int():
+    for n in range(-40, 41):
+        assert Coeff.quantum(n) == Coeff.from_qrat(quantum_int(n)), n
