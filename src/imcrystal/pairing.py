@@ -21,33 +21,33 @@ from dataclasses import dataclass
 
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
-from .qalgebra import Element, Monomial, Weight, _linear_sum, enumerate_basis, format_monomial
+from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial
 from .kashiwara import PSI, omega_apply
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
 
 
+def _pair_word(ma: Monomial, b: Element) -> Coeff:
+    """(x_ma, b): the psi chain of ma over the whole of b, so the terms of b
+    share every step."""
+    for m in ma:
+        b = omega_apply(PSI, -m, b).specialize_gamma_one()
+    return b.coefficient(())
+
+
 def _pair_monos(ma: Monomial, mb: Monomial) -> Coeff:
     key = (ma, mb)
     hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    b = Element({mb: Coeff.one()})
-    for m in ma:
-        b = omega_apply(PSI, -m, b).specialize_gamma_one()
-    _PAIR_CACHE[key] = out = b.coefficient(())
-    return out
+    if hit is None:
+        _PAIR_CACHE[key] = hit = _pair_word(ma, Element({mb: Coeff.one()}))
+    return hit
 
 
 def pair(a: Element, b: Element) -> Coeff:
     """Bilinear form value; inputs must be gamma-free (the gamma = 1 world)."""
     if not (a.is_gamma_free() and b.is_gamma_free()):
         raise ValueError("the form is evaluated at gamma = 1; specialize first")
-    return _linear_sum(
-        (Element.scalar(_pair_monos(ma, mb)), ca * cb)
-        for ma, ca in a._terms.items()
-        for mb, cb in b._terms.items()
-    ).coefficient(())
+    return sum((ca * _pair_word(ma, b) for ma, ca in a._terms.items()), Coeff.zero())
 
 
 # ---------------------------------------------------------------------------

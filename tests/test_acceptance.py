@@ -6,6 +6,8 @@ in the coefficient field.
 """
 
 import functools
+import hashlib
+import json
 
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element, enumerate_all, normalize_word
@@ -136,6 +138,15 @@ def test_module_report_check_counts():
         "intertwining-maps": 2205,
         "swap-control-detected": 1,
     }
+
+
+def test_module_report_digest():
+    # the default-bounds report as `imcrystal verify module --format json`
+    # prints it: a fast path that changes any check, count or witness changes it
+    text = json.dumps({"reports": [_module_report().to_dict()]}, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a5745f94d3908ebbade7bab5bb067342e5b2996767bd0cdbf10480e02e2605cc"
+    )
 
 
 def test_criterion_6_local_nilpotency():

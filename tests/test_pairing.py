@@ -41,6 +41,25 @@ def pair_monos_recursive(ma, mb, memo):
     return memo[key]
 
 
+def pair_double_loop(a, b):
+    """The replaced `pair`, kept as an oracle: one cached monomial pairing
+    for each (ma, mb) term pair."""
+    return _linear_sum(
+        (Element.scalar(_pair_monos(ma, mb)), ca * cb)
+        for ma, ca in a._terms.items()
+        for mb, cb in b._terms.items()
+    ).coefficient(())
+
+
+def _bench_pair_words(rng):
+    """A word and a permutation of it, drawn as the benchmark's `pair`
+    requests are: 1-6 factors over x[-3..3]."""
+    word = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+    other = word[:]
+    rng.shuffle(other)
+    return x(*word), x(*other)
+
+
 class TestPairExamples:
     def test_unit(self):
         assert pair(Element.one(), Element.one()) == ONE
@@ -119,6 +138,22 @@ class TestChain:
         for ma in monos:
             for mb in monos:
                 assert _pair_monos(ma, mb) == pair_monos_recursive(ma, mb, memo), (ma, mb)
+
+    def test_pair_matches_double_loop(self):
+        rng = random.Random(20181206)
+        for _ in range(60):
+            a, b = _bench_pair_words(rng)
+            assert pair(a, b) == pair_double_loop(a, b), (a, b)
+            assert pair(b, a) == pair_double_loop(b, a), (b, a)
+
+    def test_pair_matches_double_loop_on_sums(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b = _bench_pair_words(rng)
+            c, d = _bench_pair_words(rng)
+            lhs, rhs = a + c * Q2, b * Coeff.rational(-2) + d
+            assert pair(lhs, rhs) == pair_double_loop(lhs, rhs)
+            assert pair(rhs, lhs) == pair_double_loop(rhs, lhs)
 
     def test_no_self_call(self, monkeypatch):
         chain = pairing._pair_monos
