@@ -15,12 +15,13 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .check import Check
 from .qcoeff import Coeff, CoefficientError, congruent_mod_q2, format_coeff
 from .qalgebra import (
     Element,
+    Monomial,
     ParseError,
     Weight,
     enumerate_all,
@@ -128,6 +129,22 @@ def _random_homogeneous(
 # suites
 
 
+def _rewrite_steps(word: Monomial) -> Iterator[tuple[Monomial, Monomial]]:
+    """The (word, piece) rewrites of an instrumented walk from `word`, at the
+    leftmost ascent, for at most 500 ascents."""
+    stack = [word]
+    seen = 0
+    while stack and seen < 500:
+        w = stack.pop()
+        i = find_ascent(w, "leftmost")
+        if i is None:
+            continue
+        seen += 1
+        for _, piece in rewrite_once(w, i):
+            yield w, piece
+            stack.append(piece)
+
+
 def suite_confluence(
     seed: int = DEFAULT_SEED,
     samples: int = 200,
@@ -135,34 +152,27 @@ def suite_confluence(
     window: tuple[int, int] = (-3, 3),
 ) -> SuiteReport:
     rng = random.Random(seed)
-    serre = Check("serre1-instance", 1)
     expected = Element({(1, 0): Coeff.q_power(4)})
-    if normalize_word((0, 1)) != expected:
-        serre.witnesses.append("x[0]x[1] did not rewrite to q^2*x[1]x[0]")
+    serre = Check("serre1-instance").run(
+        [normalize_word((0, 1))],
+        lambda got: None if got == expected else "x[0]x[1] did not rewrite to q^2*x[1]x[0]",
+    )
+    words = [_random_word(rng, max_length, window) for _ in range(samples)]
 
-    probe = Check("confluence-probe")
-    measure = Check("termination-measure")
-    for _ in range(samples):
-        word = _random_word(rng, max_length, window)
-        probe.checked += 1
-        if normalize_word(word, "leftmost") != normalize_word(word, "rightmost"):
-            probe.witnesses.append(f"strategies disagree on x{list(word)}")
-        # instrumented walk: every rewrite strictly decreases the measure
-        stack = [word]
-        seen = 0
-        while stack and seen < 500:
-            w = stack.pop()
-            i = find_ascent(w, "leftmost")
-            if i is None:
-                continue
-            seen += 1
-            for _, piece in rewrite_once(w, i):
-                measure.checked += 1
-                if not termination_measure(piece) < termination_measure(w):
-                    measure.witnesses.append(
-                        f"measure did not decrease: x{list(w)} -> x{list(piece)}"
-                    )
-                stack.append(piece)
+    def disagree(w: Monomial) -> str | None:
+        if normalize_word(w, "leftmost") != normalize_word(w, "rightmost"):
+            return f"strategies disagree on x{list(w)}"
+
+    def no_decrease(step: tuple[Monomial, Monomial]) -> str | None:
+        # every rewrite strictly decreases the measure
+        w, piece = step
+        if not termination_measure(piece) < termination_measure(w):
+            return f"measure did not decrease: x{list(w)} -> x{list(piece)}"
+
+    probe = Check("confluence-probe").run(words, disagree)
+    measure = Check("termination-measure").run(
+        (step for w in words for step in _rewrite_steps(w)), no_decrease
+    )
     return SuiteReport(
         "confluence",
         {"samples": samples, "max_length": max_length, "window": list(window)},
@@ -186,35 +196,31 @@ def suite_relations(
         check_kashiwara_relation(rel, comp_range, max_length=max_length, window=window)
         for rel in kashiwara.RELATIONS
     ]
+    monos = enumerate_all(ORACLE_MAX_LENGTH, window)
 
-    oracle = Check("oracle-psi-closed")
-    for mono in enumerate_all(ORACLE_MAX_LENGTH, window):
-        for p in range(ORACLE_P[0], ORACLE_P[1] + 1):
-            oracle.checked += 1
-            if omega_psi_closed(p, mono) != omega_mono(PSI, p, mono):
-                oracle.witnesses.append(f"closed formula disagrees at p={p}, x{list(mono)}")
-    results.append(oracle)
+    def closed_differs(case: tuple[Monomial, int]) -> str | None:
+        mono, p = case
+        if omega_psi_closed(p, mono) != omega_mono(PSI, p, mono):
+            return f"closed formula disagrees at p={p}, x{list(mono)}"
 
-    locality = Check("locality-support")
-    for mono in enumerate_all(ORACLE_MAX_LENGTH, window):
-        if not mono:
-            continue
-        for p in range(ORACLE_P[0] - 2, ORACLE_P[1] + 3):
-            locality.checked += 1
-            img = omega_mono(PSI, p, mono)
-            if p < -max(mono) and not img.is_zero:
-                locality.witnesses.append(
-                    f"psi[{p}] should kill x{list(mono)} (support bound)"
-                )
-            if not img.is_zero:
-                w = Weight(len(mono) - 1, sum(mono) + p)
-                got = img.weight()
-                if got != w:
-                    locality.witnesses.append(
-                        f"psi[{p}] on x{list(mono)}: weight {got} expected {w}"
-                    )
-    results.append(locality)
+    def off_support(case: tuple[Monomial, int]) -> Iterator[str]:
+        mono, p = case
+        img = omega_mono(PSI, p, mono)
+        if img.is_zero:
+            return
+        if p < -max(mono):
+            yield f"psi[{p}] should kill x{list(mono)} (support bound)"
+        w = Weight(len(mono) - 1, sum(mono) + p)
+        if (got := img.weight()) != w:
+            yield f"psi[{p}] on x{list(mono)}: weight {got} expected {w}"
 
+    p_lo, p_hi = ORACLE_P
+    results.append(Check("oracle-psi-closed").run(
+        ((mono, p) for mono in monos for p in range(p_lo, p_hi + 1)), closed_differs
+    ))
+    results.append(Check("locality-support").run(
+        ((mono, p) for mono in monos if mono for p in range(p_lo - 2, p_hi + 3)), off_support
+    ))
     return SuiteReport(
         "relations",
         {
@@ -237,77 +243,84 @@ def suite_form(
     corrupt: str | None = None,
 ) -> SuiteReport:
     rng = random.Random(seed)
-    symmetry = Check("symmetry-random")
-    adjoint = Check("adjointness-random")
-    ortho_weights = Check("weight-orthogonality-random")
+    draws = []  # (a, b, m, c): b of the weight of a, c of a random weight
     for _ in range(samples):
         a = _random_homogeneous(rng, window, max_length)
         b = _random_homogeneous(rng, window, max_length, a.weight())
         m = rng.randint(window[0], window[1])
-        symmetry.checked += 1
+        draws.append((a, b, m, _random_homogeneous(rng, window, max_length)))
+
+    def asymmetric(draw: tuple[Element, Element, int, Element]) -> str | None:
+        a, b, _, _ = draw
         if pairing.pair(a, b) != pairing.pair(b, a):
-            symmetry.witnesses.append(f"asymmetric on {format_element(a)} | {format_element(b)}")
-        adjoint.checked += 1
+            return f"asymmetric on {format_element(a)} | {format_element(b)}"
+
+    def not_adjoint(draw: tuple[Element, Element, int, Element]) -> str | None:
+        a, b, m, _ = draw
         lhs = pairing.pair(Element.monomial((m,)) * a, b)
-        rhs = pairing.pair(a, omega_apply(PSI, -m, b).specialize_gamma_one())
-        if lhs != rhs:
-            adjoint.witnesses.append(f"adjointness fails at m={m} on {format_element(a)}")
-        c = _random_homogeneous(rng, window, max_length)
-        if c.weight() != a.weight():
-            ortho_weights.checked += 1
-            if not pairing.pair(a, c).is_zero:
-                ortho_weights.witnesses.append(
-                    f"nonzero pairing across weights {a.weight()} vs {c.weight()}"
-                )
+        if lhs != pairing.pair(a, omega_apply(PSI, -m, b).specialize_gamma_one()):
+            return f"adjointness fails at m={m} on {format_element(a)}"
 
-    gram_res = Check("gram-orthonormality")
-    for k in range(1, max_length + 1):
-        for d in range(k * window[0], k * window[1] + 1):
-            g = pairing.gram(Weight(k, d), window)
-            if not g.basis:
-                continue
-            if corrupt == "gram" and gram_res.checked == 0:
-                g.entries[0][0] = g.entries[0][0] + Coeff.q_power(2)
-            gram_res.checked += 1
-            gram_res.witnesses.extend(
-                f"weight ({k},{d}): {w}" for w in pairing.orthonormality_report(g).witnesses
-            )
+    def pairs_across(draw: tuple[Element, Element, int, Element]) -> str | None:
+        a, _, _, c = draw
+        if not pairing.pair(a, c).is_zero:
+            return f"nonzero pairing across weights {a.weight()} vs {c.weight()}"
 
-    cross = Check("cross-length-zero")
+    def off_delta(case: tuple[int, tuple[int, int, pairing.GramMatrix]]) -> list[str]:
+        i, (k, d, g) = case
+        if corrupt == "gram" and i == 0:
+            g.entries[0][0] = g.entries[0][0] + Coeff.q_power(2)
+        return [f"weight ({k},{d}): {w}" for w in pairing.orthonormality_report(g).witnesses]
+
+    def pairs_nonzero(case: tuple[Monomial, Monomial]) -> str | None:
+        ma, mb = case
+        v = pairing.pair(Element({ma: Coeff.one()}), Element({mb: Coeff.one()}))
+        if not v.is_zero:
+            return f"x{list(ma)} pairs x{list(mb)} to {format_coeff(v)}"
+
+    def misjudged(case: tuple[Monomial, bool]) -> str | None:
+        mono, inside = case
+        elem = Element({mono: Coeff.one() if inside else Coeff.q_power(-2)})
+        probe = pairing.lattice_membership_probe(elem, window)
+        if inside and not probe.passed:
+            return f"x{list(mono)} rejected: {probe.describe()}"
+        if not inside and probe.passed:
+            return f"q^-1 x{list(mono)} accepted by the probe"
+
+    grams = (
+        (k, d, g)
+        for k in range(1, max_length + 1)
+        for d in range(k * window[0], k * window[1] + 1)
+        if (g := pairing.gram(Weight(k, d), window)).basis
+    )
     monos = enumerate_all(max_length, window)
-    for i, ma in enumerate(monos):
-        for mb in monos:
-            if len(ma) != len(mb):
-                cross.checked += 1
-                v = pairing.pair(Element({ma: Coeff.one()}), Element({mb: Coeff.one()}))
-                if not v.is_zero:
-                    cross.witnesses.append(f"x{list(ma)} pairs x{list(mb)} to {format_coeff(v)}")
-
-    frozen = Check("frozen-value", 1)
-    value = pairing.pair(Element.monomial((1, 1)), Element.monomial((1, 1)))
-    if value != Coeff.one() + Coeff.q_power(4):
-        frozen.witnesses.append(f"(x[1]x[1], x[1]x[1]) = {format_coeff(value)} expected 1+q^2")
-
-    membership = Check("membership-probe")
-    for mono in enumerate_all(2, (-1, 1)):
-        if not mono:
-            continue
-        membership.checked += 2
-        good = pairing.lattice_membership_probe(Element({mono: Coeff.one()}), window)
-        if not good.passed:
-            membership.witnesses.append(f"x{list(mono)} rejected: {good.describe()}")
-        bad = pairing.lattice_membership_probe(
-            Element({mono: Coeff.q_power(-2)}), window
-        )
-        if bad.passed:
-            membership.witnesses.append(f"q^-1 x{list(mono)} accepted by the probe")
-
+    results = [
+        Check("symmetry-random").run(draws, asymmetric),
+        Check("adjointness-random").run(draws, not_adjoint),
+        Check("weight-orthogonality-random").run(
+            (draw for draw in draws if draw[3].weight() != draw[0].weight()), pairs_across
+        ),
+        Check("gram-orthonormality").run(enumerate(grams), off_delta),
+        Check("cross-length-zero").run(
+            ((ma, mb) for ma in monos for mb in monos if len(ma) != len(mb)), pairs_nonzero
+        ),
+        Check("frozen-value").run(
+            [pairing.pair(Element.monomial((1, 1)), Element.monomial((1, 1)))],
+            lambda value: None if value == Coeff.one() + Coeff.q_power(4)
+            else f"(x[1]x[1], x[1]x[1]) = {format_coeff(value)} expected 1+q^2",
+        ),
+        Check("membership-probe").run(
+            ((mono, inside) for mono in enumerate_all(2, (-1, 1)) if mono
+             for inside in (True, False)),
+            misjudged,
+        ),
+    ]
     return SuiteReport(
         "form",
         {"samples": samples, "max_length": max_length, "window": list(window),
          "corrupt": corrupt},
         seed,
-        [symmetry, adjoint, ortho_weights, gram_res, cross, frozen, membership],
+        results,
     )
 
 
@@ -332,23 +345,22 @@ def suite_module(
     of the images of the sample under h[k], h[k]h[l], x-[l], x+[k], the
     Cartan currents, K^-1 and D^-1, and the relation and weight checks all
     read from it.  Both sides of each identity are still computed separately.
+    Each check runs once per sample and adds that sample's cases to its
+    result.
     """
-    rel_hh = Check("relation-h-h")
-    rel_hx = Check("relation-h-xminus")
-    rel_k = Check("relation-K-conjugation")
-    rel_d = Check("relation-D-conjugation")
-    rel_px = Check("relation-xplus-xminus")
-    weight_dec = Check("weight-decomposition")
-    nilp = Check("local-nilpotency")
-    simple = Check("simplicity-probe")
-
-    lo, hi = comp_range
-    monos = enumerate_all(max_length, window)
+    rel_hh, rel_hx, rel_k, rel_d, rel_px, weight_dec, nilp, simple = sample_checks = [
+        Check("relation-h-h"), Check("relation-h-xminus"), Check("relation-K-conjugation"),
+        Check("relation-D-conjugation"), Check("relation-xplus-xminus"),
+        Check("weight-decomposition"), Check("local-nilpotency"), Check("simplicity-probe"),
+    ]
+    ks = range(comp_range[0], comp_range[1] + 1)
+    nonzero_pairs = [(k, l) for k in ks if k != 0 for l in ks if l != 0]
     for h in weights:
         M = direct_sum([HighestWeight(h, d)])
-        samples = [(mono, M.inject(0, Element.monomial(mono))) for mono in monos]
-        for mono, v in samples:
+        for mono in enumerate_all(max_length, window):
+            v = M.inject(0, Element.monomial(mono))
             tag = f"h={h}, x{list(mono)}"
+            k0, d0 = len(mono), sum(mono)
 
             # the per-sample table of operator images every check below reads
             @cache
@@ -373,61 +385,59 @@ def suite_module(
 
             k_inv, d_inv = act_K(v, -1), act_D(v, -1)
 
-            for k in range(lo, hi + 1):
-                if k != 0:
-                    for l in range(lo, hi + 1):
-                        if l == 0:
-                            continue
-                        rel_hh.checked += 1
-                        if hh(k, l) != hh(l, k):
-                            rel_hh.witnesses.append(f"[h_{k},h_{l}] nonzero on {tag}")
-                        rel_hx.checked += 1
-                        if act_h(k, xm(l)) != act_xminus(l, h_(k)) + xm(k + l) * _h_scalar(k):
-                            rel_hx.witnesses.append(f"[h_{k},x-_{l}] wrong on {tag}")
-                rel_k.checked += 1
+            def h_h(kl: tuple[int, int]) -> str | None:
+                k, l = kl
+                if hh(k, l) != hh(l, k):
+                    return f"[h_{k},h_{l}] nonzero on {tag}"
+
+            def h_xminus(kl: tuple[int, int]) -> str | None:
+                k, l = kl
+                if act_h(k, xm(l)) != act_xminus(l, h_(k)) + xm(k + l) * _h_scalar(k):
+                    return f"[h_{k},x-_{l}] wrong on {tag}"
+
+            def k_conjugation(k: int) -> str | None:
                 if act_K(act_xminus(k, k_inv)) != xm(k) * Coeff.q_power(-4):
-                    rel_k.witnesses.append(f"K x-_{k} K^-1 wrong on {tag}")
-                rel_d.checked += 2
-                if act_D(act_xminus(k, d_inv)) != xm(k) * Coeff.q_power(2 * k):
-                    rel_d.witnesses.append(f"D x-_{k} D^-1 wrong on {tag}")
-                if act_D(act_xplus(k, d_inv)) != xp(k) * Coeff.q_power(2 * k):
-                    rel_d.witnesses.append(f"D x+_{k} D^-1 wrong on {tag}")
-                for l in range(lo, hi + 1):
-                    rel_px.checked += 1
-                    if act_xplus(k, xm(l)) != act_xminus(l, xp(k)) + cc(k + l):
-                        rel_px.witnesses.append(f"[x+_{k},x-_{l}] wrong on {tag}")
+                    return f"K x-_{k} K^-1 wrong on {tag}"
 
-            # weight decomposition of generator images
-            k0, d0 = len(mono), sum(mono)
-            for n in range(lo, hi + 1):
-                weight_dec.checked += 1
-                img = xm(n).element(0)
-                if img.weight() != Weight(k0 + 1, d0 + n):
-                    weight_dec.witnesses.append(f"x-_{n} weight wrong on {tag}")
-                if mono:
-                    weight_dec.checked += 1
-                    img = xp(n).element(0)
-                    if not img.is_zero and img.weight() != Weight(k0 - 1, d0 + n):
-                        weight_dec.witnesses.append(f"x+_{n} weight wrong on {tag}")
-                    if n != 0:
-                        weight_dec.checked += 1
-                        img = h_(n).element(0)
-                        if not img.is_zero and img.weight() != Weight(k0, d0 + n):
-                            weight_dec.witnesses.append(f"h_{n} weight wrong on {tag}")
+            def d_conjugation(case: tuple[int, str]) -> str | None:
+                k, sign = case
+                act, image = (act_xminus, xm) if sign == "-" else (act_xplus, xp)
+                if act_D(act(k, d_inv)) != image(k) * Coeff.q_power(2 * k):
+                    return f"D x{sign}_{k} D^-1 wrong on {tag}"
 
-            for n in range(NILPOTENCY_RANGE[0], NILPOTENCY_RANGE[1] + 1):
-                nilp.checked += 1
-                t = nilpotency_probe(n, v, len(mono) + 1)
-                if t is None:
-                    nilp.witnesses.append(f"(x+_{n})^{len(mono)+1} nonzero on {tag}")
+            def xplus_xminus(kl: tuple[int, int]) -> str | None:
+                k, l = kl
+                if act_xplus(k, xm(l)) != act_xminus(l, xp(k)) + cc(k + l):
+                    return f"[x+_{k},x-_{l}] wrong on {tag}"
 
-            if mono:
-                simple.checked += 1
-                if simplicity_probe(v) is None:
-                    simple.witnesses.append(f"no raising path to the highest weight from {tag}")
+            def off_weight(case: tuple[int, str, Callable[[int], VermaVector], int]) -> str | None:
+                # x- acts freely, so only the x+ and h images can be zero
+                n, gen, image, dk = case
+                img = image(n).element(0)
+                if (gen == "x-" or not img.is_zero) and img.weight() != Weight(k0 + dk, d0 + n):
+                    return f"{gen}_{n} weight wrong on {tag}"
+
+            def not_nilpotent(n: int) -> str | None:
+                if nilpotency_probe(n, v, k0 + 1) is None:
+                    return f"(x+_{n})^{k0 + 1} nonzero on {tag}"
+
+            gens = [("x-", xm, 1)] + ([("x+", xp, -1), ("h", h_, 0)] if mono else [])
+            rel_hh.run(nonzero_pairs, h_h)
+            rel_hx.run(nonzero_pairs, h_xminus)
+            rel_k.run(ks, k_conjugation)
+            rel_d.run(((k, sign) for k in ks for sign in "-+"), d_conjugation)
+            rel_px.run(((k, l) for k in ks for l in ks), xplus_xminus)
+            weight_dec.run(
+                ((n, *gen) for n in ks for gen in gens if gen[0] != "h" or n != 0), off_weight
+            )
+            nilp.run(range(NILPOTENCY_RANGE[0], NILPOTENCY_RANGE[1] + 1), not_nilpotent)
+            simple.run(
+                [v] if mono else [],
+                lambda sample: None if simplicity_probe(sample) is not None
+                else f"no raising path to the highest weight from {tag}",
+            )
 
     # intertwining of the tilde operators with canonical module maps
-    intertwine = Check("intertwining-maps")
     # the swap control needs two distinct weights: a swap between equal ones
     # is a module map
     hs = list(dict.fromkeys(weights))[:2]
@@ -447,16 +457,14 @@ def suite_module(
     ]
     if corrupt == "map":
         maps.append((component_swap_map(desc), sum_samples))
-    for nu, samples in maps:
-        rep = verify_intertwining(nu, samples, (-2, 2))
-        intertwine.checked += rep.checked
-        intertwine.witnesses.extend(rep.witnesses)
-
-    swap_control = Check("swap-control-detected", 1)
-    if verify_intertwining(component_swap_map(desc), sum_samples, (-1, 1)).passed:
-        swap_control.witnesses.append(
-            "component swap between distinct weights was not detected"
-        )
+    intertwine = Check.fold(
+        "intertwining-maps", (verify_intertwining(nu, s, (-2, 2)) for nu, s in maps)
+    )
+    swap_control = Check("swap-control-detected").run(
+        [verify_intertwining(component_swap_map(desc), sum_samples, (-1, 1))],
+        lambda swap: "component swap between distinct weights was not detected"
+        if swap.passed else None,
+    )
 
     return SuiteReport(
         "module",
@@ -470,20 +478,14 @@ def suite_module(
             "corrupt": corrupt,
         },
         seed,
-        [rel_hh, rel_hx, rel_k, rel_d, rel_px, weight_dec, nilp, simple,
-         intertwine, swap_control],
+        [*sample_checks, intertwine, swap_control],
     )
 
 
 def _axiom_check(name: str, lat: LatticeDesc, m_range: tuple[int, int]) -> Check:
     """The crystal axioms on one lattice as one result, each witness tagged
     with its axiom."""
-    rep = verify_crystal_axioms(lat, m_range)
-    return Check(
-        name,
-        sum(r.checked for r in rep.results),
-        [f"{r.name}: {w}" for r in rep.results for w in r.witnesses],
-    )
+    return Check.fold(name, verify_crystal_axioms(lat, m_range).results, tag=True)
 
 
 def suite_crystal(
@@ -503,38 +505,31 @@ def suite_crystal(
     if len(weights) >= 2:
         lat2 = lattice(weights[:2])
         results.append(_axiom_check("axioms-direct-sum", lat2, m_range))
+        components_pass = results[0].passed and results[1].passed
+        lat_eq = LatticeDesc((HighestWeight(weights[0], d),) * 2, min(1, max_length), window)
+        results += [
+            Check("direct-sum-coherence").run(
+                [results[-1].passed],
+                lambda summed: None if summed == components_pass
+                else "direct-sum verdict differs from the conjunction of components",
+            ),
+            Check("split-canonical").run(
+                [split_converse_check(lat2, canonical_split(lat2), m_range)],
+                lambda split: None if split.passed
+                else split.witnesses or "restricted axiom run failed",
+            ),
+            Check("split-diagonal-control").run(
+                [split_converse_check(lat_eq, diagonal_control_split(lat_eq), m_range)],
+                lambda split: "diagonal sublattice was not rejected" if split.compatible else None,
+            ),
+        ]
 
-        coherence = Check("direct-sum-coherence", 1)
-        if results[-1].passed != (results[0].passed and results[1].passed):
-            coherence.witnesses.append(
-                "direct-sum verdict differs from the conjunction of components"
-            )
-        results.append(coherence)
-
-        split_res = Check("split-canonical", 1)
-        sp = split_converse_check(lat2, canonical_split(lat2), m_range)
-        if not sp.passed:
-            split_res.witnesses.extend(sp.witnesses or ["restricted axiom run failed"])
-        results.append(split_res)
-
-        control = Check("split-diagonal-control", 1)
-        lat_eq = LatticeDesc(
-            (HighestWeight(weights[0], d), HighestWeight(weights[0], d)),
-            min(1, max_length),
-            window,
-        )
-        spd = split_converse_check(lat_eq, diagonal_control_split(lat_eq), m_range)
-        if spd.compatible:
-            control.witnesses.append("diagonal sublattice was not rejected")
-        results.append(control)
-
-    signed = Check("signed-image-example", 1)
     lat1 = LatticeDesc((HighestWeight(weights[0], d),), max_length, window)
-    img = crystal_image_x(0, CrystalClass(1, (2,), 0), lat1)
-    if img != CrystalClass(-1, (1, 1), 0):
-        signed.witnesses.append(f"x~_0 class(x[2]) gave {img}")
-    results.append(signed)
-
+    results.append(Check("signed-image-example").run(
+        [crystal_image_x(0, CrystalClass(1, (2,), 0), lat1)],
+        lambda img: None if img == CrystalClass(-1, (1, 1), 0)
+        else f"x~_0 class(x[2]) gave {img}",
+    ))
     return SuiteReport(
         "crystal",
         {

@@ -125,12 +125,10 @@ def _reduce(
     return poles, out
 
 
-def reduce_mod_q(
-    v: VermaVector, lat: LatticeDesc | None = None
-) -> dict[ClassKey, Fraction]:
+def reduce_mod_q(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Fraction]:
     """Image of a lattice vector in L/qL as a signed rational combination of
     monomial classes; raises NotInLatticeError with a witness on poles."""
-    poles, out = _reduce(v, lat or LatticeDesc(v.ambient, 0, (0, 0)))
+    poles, out = _reduce(v, lat)
     if poles:
         raise NotInLatticeError(*poles[0])
     return out
@@ -141,13 +139,10 @@ class ImageViolation:
     operator: str
     index: int
     source: CrystalClass
-    reduced: dict[ClassKey, Fraction] | None
     reason: str
 
     def describe(self) -> str:
-        return (
-            f"{self.operator}[{self.index}] on {self.source.describe()}: {self.reason}"
-        )
+        return f"{self.operator}[{self.index}] on {self.source.describe()}: {self.reason}"
 
 
 TildeImage = CrystalClass | None | ImageViolation
@@ -164,18 +159,14 @@ def _tilde_image(
     poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
     witnesses = [f"{op}[{m}] on {b.describe()}: {_pole_text(key)}" for key, _ in poles]
     if poles:
-        return witnesses, ImageViolation(op, m, b, None, str(NotInLatticeError(*poles[0])))
+        return witnesses, ImageViolation(op, m, b, str(NotInLatticeError(*poles[0])))
     if not reduced:
         return witnesses, None
     if len(reduced) > 1:
-        return witnesses, ImageViolation(
-            op, m, b, reduced, "image is a multi-term combination"
-        )
+        return witnesses, ImageViolation(op, m, b, "image is a multi-term combination")
     (key, value), = reduced.items()
     if abs(value) != 1:
-        return witnesses, ImageViolation(
-            op, m, b, reduced, f"image coefficient {value} is not a sign"
-        )
+        return witnesses, ImageViolation(op, m, b, f"image coefficient {value} is not a sign")
     comp, mono = key
     return witnesses, CrystalClass(1 if value > 0 else -1, mono, comp)
 
@@ -214,61 +205,65 @@ class CrystalReport:
 def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> CrystalReport:
     """Run the crystal-basis axiom checks over the lattice's finite probe."""
     lo, hi = m_range
-    stability = Check("lattice-stability")
-    grading = Check("weight-grading")
-    images_x = Check("image-xminus")
-    images_omega = Check("image-omega")
-    commutation = Check("commutation")
-    observed: list[str] = []
+    classes = lat.classes()
+    ms = range(lo, hi + 1)
+    ops = ("xminus", "omega-psi")
 
     @cache  # the per-run table of tilde images every check below reads
     def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
         return _tilde_image(op, m, b, lat)
 
-    for b in lat.classes():
-        lift = lat.lift(b)
-        lam = lat.weights[b.component]
+    def off_weight(b: CrystalClass) -> str | None:
+        # a K and D eigenvector of the expected weight
+        lift, lam = lat.lift(b), lat.weights[b.component]
+        if act_K(lift) != lift * Coeff.q_power(2 * (lam.h - 2 * len(b.mono))) or (
+            act_D(lift) != lift * Coeff.q_power(2 * (lam.d + sum(b.mono)))
+        ):
+            return f"{b.describe()} is not in a single weight space"
 
-        # weight grading: K and D eigenvector of the expected weight
-        grading.checked += 1
-        k, deg = len(b.mono), sum(b.mono)
-        expect_k = lift * Coeff.q_power(2 * (lam.h - 2 * k))
-        expect_d = lift * Coeff.q_power(2 * (lam.d + deg))
-        if act_K(lift) != expect_k or act_D(lift) != expect_d:
-            grading.witnesses.append(f"{b.describe()} is not in a single weight space")
+    def duplicated(keys: list[ClassKey]) -> str | None:
+        # distinctness of class keys is structural; check for collisions anyway
+        if len(set(keys)) != len(keys):
+            return "duplicate classes in the basis enumeration"
 
-        for m in range(lo, hi + 1):
-            # lattice stability and single-signed-class images
-            for op, images in (("xminus", images_x), ("omega-psi", images_omega)):
-                poles, img = image(op, m, b)
-                stability.checked += 1
-                stability.witnesses.extend(poles)
-                images.checked += 1
-                if isinstance(img, ImageViolation):
-                    images.witnesses.append(img.describe())
-                elif img is not None:
-                    observed.append(f"{op}[{m}] {b.describe()} -> {img.describe()}")
+    def not_signed_class(case: tuple[str, int, CrystalClass]) -> str | None:
+        img = image(*case)[1]
+        return img.describe() if isinstance(img, ImageViolation) else None
 
-            # commutation: x[m] after omega(-m) against omega(-m) after x[m]
-            omega_b = image("omega-psi", -m, b)[1]
-            x_b = image("xminus", m, b)[1]
-            if isinstance(omega_b, CrystalClass) and isinstance(x_b, CrystalClass):
-                commutation.checked += 1
-                left = image("xminus", m, omega_b)[1]
-                right = image("omega-psi", -m, x_b)[1]
-                if left != right:
-                    ltext = left.describe() if isinstance(left, CrystalClass) else str(left)
-                    rtext = right.describe() if isinstance(right, CrystalClass) else str(right)
-                    commutation.witnesses.append(
-                        f"m={m}, b={b.describe()}: x-after-omega gives {ltext}, "
-                        f"omega-after-x gives {rtext}"
-                    )
+    def describe(img: TildeImage) -> str:
+        return "None" if img is None else img.describe()
 
-    # distinctness of class keys is structural; check for collisions anyway
-    keys = lat.class_keys()
-    grading.checked += 1
-    if len(set(keys)) != len(keys):
-        grading.witnesses.append("duplicate classes in the basis enumeration")
+    def noncommuting(case: tuple[int, CrystalClass, CrystalClass, CrystalClass]) -> str | None:
+        # x[m] after omega(-m) against omega(-m) after x[m]
+        m, b, omega_b, x_b = case
+        left, right = image("xminus", m, omega_b)[1], image("omega-psi", -m, x_b)[1]
+        if left != right:
+            return (
+                f"m={m}, b={b.describe()}: x-after-omega gives {describe(left)}, "
+                f"omega-after-x gives {describe(right)}"
+            )
+
+    stability = Check("lattice-stability").run(
+        ((op, m, b) for b in classes for m in ms for op in ops), lambda case: image(*case)[0]
+    )
+    grading = Check("weight-grading").run(classes, off_weight).run([lat.class_keys()], duplicated)
+    images_x = Check("image-xminus").run(
+        (("xminus", m, b) for b in classes for m in ms), not_signed_class
+    )
+    images_omega = Check("image-omega").run(
+        (("omega-psi", m, b) for b in classes for m in ms), not_signed_class
+    )
+    commutation = Check("commutation").run(
+        ((m, b, omega_b, x_b) for b in classes for m in ms
+         if isinstance(omega_b := image("omega-psi", -m, b)[1], CrystalClass)
+         and isinstance(x_b := image("xminus", m, b)[1], CrystalClass)),
+        noncommuting,
+    )
+    observed = [
+        f"{op}[{m}] {b.describe()} -> {img.describe()}"
+        for b in classes for m in ms for op in ops
+        if isinstance(img := image(op, m, b)[1], CrystalClass)
+    ]
 
     bounds = {
         "weights": [[w.h, w.d] for w in lat.weights],
@@ -291,34 +286,32 @@ def assemble_direct_sum_basis(
     return lat, lat.classes()
 
 
-def corrupted_lattice(lat: LatticeDesc, key: ClassKey | None = None) -> LatticeDesc:
+def corrupted_lattice(lat: LatticeDesc) -> LatticeDesc:
     """Control fixture: scale one lattice generator by q^-1."""
-    if key is None:
-        monos = enumerate_basis(min(1, lat.max_length), lat.window)
-        key = (0, monos[0] if monos else ())
+    monos = enumerate_basis(min(1, lat.max_length), lat.window)
     scales = dict(lat.scales)
-    scales[key] = Coeff.q_power(-2)
+    scales[(0, monos[0] if monos else ())] = Coeff.q_power(-2)
     return LatticeDesc(lat.weights, lat.max_length, lat.window, scales)
 
 
 # ---------------------------------------------------------------------------
-# splitting a crystal basis along a two-block decomposition
+# splitting a crystal basis along a block decomposition
 
 
 @dataclass
 class SplitSpec:
-    """Candidate sublattices: generators of each part as vectors."""
+    """Candidate sublattices: generators of each part as vectors, part j
+    for component j."""
 
-    parts: tuple[list[VermaVector], list[VermaVector]]
+    parts: tuple[list[VermaVector], ...]
 
 
 def canonical_split(lat: LatticeDesc) -> SplitSpec:
     """The component split: part j is spanned by component-j generators."""
     module = lat.module()
-    parts: tuple[list[VermaVector], list[VermaVector]] = ([], [])
+    parts: tuple[list[VermaVector], ...] = tuple([] for _ in lat.weights)
     for i, mono in lat.class_keys():
-        gen = module.inject(i, Element({mono: lat.scale(i, mono)}))
-        parts[min(i, 1)].append(gen)
+        parts[i].append(module.inject(i, Element({mono: lat.scale(i, mono)})))
     return SplitSpec(parts)
 
 
@@ -350,16 +343,16 @@ class SplitReport:
 def split_converse_check(
     lat: LatticeDesc, split: SplitSpec, m_range: tuple[int, int]
 ) -> SplitReport:
-    """Verify that a two-block split of the lattice and basis restricts to a
-    crystal basis on each block.
+    """Verify that a split of the lattice and basis into one block per
+    component restricts to a crystal basis on each block.
 
     The hypotheses are checked on the finite probe first: each part must lie
     in its own summand (no mixed-component generators), every generator must
     be a scaled monomial vector whose lattice coordinate is a unit at 0, and
     together the parts must cover every probe generator exactly once (this
-    is the decomposition L = L1 + L2 and, with the unit condition, L_j =
-    L with M_j intersected).  Incompatible splits are reported with the
-    offending generator.  Then the axiom checker runs on each block.
+    is the decomposition L = L_1 + ... + L_n and, with the unit condition,
+    L_j = L with M_j intersected).  Incompatible splits are reported with
+    the offending generator.  Then the axiom checker runs on each block.
     """
     witnesses: list[str] = []
     cover: dict[ClassKey, int] = {}
@@ -393,7 +386,7 @@ def split_converse_check(
             if coord.valuation() != 0:
                 witnesses.append(
                     f"part {j + 1} generator {format_vector(gen)}: lattice "
-                    "coordinate is not a unit at 0, so L1 + L2 differs from L"
+                    "coordinate is not a unit at 0, so the parts do not sum to L"
                 )
                 continue
             key = (comp, mono)
@@ -410,7 +403,7 @@ def split_converse_check(
     compatible = not witnesses
     part_reports: list[CrystalReport] = []
     if compatible:
-        for j in range(min(2, len(lat.weights))):
+        for j in range(len(lat.weights)):
             scales = {
                 (0, mono): c
                 for (i, mono), c in lat.scales.items()

@@ -243,17 +243,16 @@ def check_kashiwara_relation(
     a witness, so an empty witness list is a pass."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    report = Check(relation)
     lo, hi = component_range
     domain = enumerate_all(max_length, window)
-    for a in range(lo, hi + 1):
-        for b in range(lo, hi + 1):
-            for mono in domain:
-                res = _residual(relation, (a, b), Element.monomial(mono))
-                report.checked += 1
-                if not res.is_zero:
-                    report.witnesses.append(
-                        f"{relation}{(a, b)} on {format_monomial(mono)}: "
-                        f"residual {format_element(res)}"
-                    )
-    return report
+
+    def residual(case: tuple[int, int, Monomial]) -> str | None:
+        a, b, mono = case
+        res = _residual(relation, (a, b), Element.monomial(mono))
+        if not res.is_zero:
+            return f"{relation}{(a, b)} on {format_monomial(mono)}: residual {format_element(res)}"
+
+    components = range(lo, hi + 1)
+    return Check(relation).run(
+        ((a, b, mono) for a in components for b in components for mono in domain), residual
+    )

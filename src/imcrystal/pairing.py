@@ -97,15 +97,16 @@ def gram(weight: Weight, window: tuple[int, int]) -> GramMatrix:
 def orthonormality_report(g: GramMatrix) -> Check:
     """Check each Gram entry against the Kronecker delta modulo q^2."""
     w = g.weight
-    report = Check(f"orthonormality ({w.length},{w.degree})", len(g.basis) ** 2)
-    for i, row in enumerate(g.entries):
-        for j, c in enumerate(row):
-            delta = 1 if i == j else 0
-            if not congruent_mod_q2(c, delta):
-                report.witnesses.append(
-                    f"entry ({i},{j}) = {format_coeff(c)} not congruent to {delta} mod q^2"
-                )
-    return report
+
+    def off_delta(case: tuple[int, int, Coeff]) -> str | None:
+        i, j, c = case
+        delta = 1 if i == j else 0
+        if not congruent_mod_q2(c, delta):
+            return f"entry ({i},{j}) = {format_coeff(c)} not congruent to {delta} mod q^2"
+
+    return Check(f"orthonormality ({w.length},{w.degree})").run(
+        ((i, j, c) for i, row in enumerate(g.entries) for j, c in enumerate(row)), off_delta
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,6 @@ def verify_intertwining(
 ) -> Check:
     """Check that nu commutes with the tilde operators and with the module
     actions (K, D, h[k], x+[k]) on every sample."""
-    report = Check(nu.name)
     lo, hi = m_range
     operators: list[tuple[str, Callable[[VermaVector], VermaVector]]] = []
     for m in range(lo, hi + 1):
@@ -435,11 +434,12 @@ def verify_intertwining(
             operators.append((f"h[{m}]", lambda v, m=m: act_h(m, v)))
     operators.append(("K", act_K))
     operators.append(("D", act_D))
-    for sample in samples:
-        for name, op in operators:
-            report.checked += 1
-            if nu(op(sample)) != op(nu(sample)):
-                report.witnesses.append(
-                    f"{name} does not commute with {nu.name} on {format_vector(sample)}"
-                )
-    return report
+
+    def noncommuting(case: tuple[VermaVector, str, Callable[[VermaVector], VermaVector]]):
+        sample, name, op = case
+        if nu(op(sample)) != op(nu(sample)):
+            return f"{name} does not commute with {nu.name} on {format_vector(sample)}"
+
+    return Check(nu.name).run(
+        ((sample, name, op) for sample in samples for name, op in operators), noncommuting
+    )

@@ -9,6 +9,8 @@ import functools
 import hashlib
 import json
 
+import pytest
+
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element, enumerate_all, normalize_word
 from imcrystal.kashiwara import RELATIONS, check_kashiwara_relation
@@ -31,6 +33,7 @@ from imcrystal.crystal import (
 )
 from imcrystal import pairing as pairing_mod
 from imcrystal.cli import (
+    run_suite,
     suite_confluence,
     suite_crystal,
     suite_form,
@@ -140,13 +143,33 @@ def test_module_report_check_counts():
     }
 
 
-def test_module_report_digest():
-    # the default-bounds report as `imcrystal verify module --format json`
-    # prints it: a fast path that changes any check, count or witness changes it
-    text = json.dumps({"reports": [_module_report().to_dict()]}, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a5745f94d3908ebbade7bab5bb067342e5b2996767bd0cdbf10480e02e2605cc"
-    )
+# the sha256 of `imcrystal verify <suite> [--corrupt <fixture>] --format json`
+# at default bounds
+REPORT_DIGESTS = {
+    ("module", None): "a5745f94d3908ebbade7bab5bb067342e5b2996767bd0cdbf10480e02e2605cc",
+    ("confluence", None): "dc1bff9ad79e530b1e022798c772eaa010ccca3f35f92a994dd8584dde386474",
+    ("relations", None): "ad0303068841fa78cc58681838f3c097c54915510c45a46dab9f73239fd57b86",
+    ("form", None): "ed93d02fbf23220c151f032fff281d9fe0c6d6e6076a0650b6768713b6e0e6fd",
+    ("crystal", None): "5133e637989f94944564c71d193a3c53a773f25e3f83b9dcaafc3d788051041b",
+    ("form", "gram"): "e05124e973ca3aab9d678075d47e8c26fbe3cc6b85f6a90433d35dc1c97b03ac",
+    ("crystal", "lattice"): "40fafc197fe61ceb2179174c279cf1b745ec1983276e97a196bf9f33183b2aa4",
+}
+
+
+@pytest.mark.parametrize(
+    "suite, corrupt",
+    list(REPORT_DIGESTS),
+    ids=[f"{s}-{c}" if c else s for s, c in REPORT_DIGESTS],
+)
+def test_module_report_digest(suite, corrupt):
+    # the report as the CLI prints it: a change to any check, count or
+    # witness changes it
+    if suite == "module":
+        reports = [_module_report()]
+    else:
+        reports = run_suite(suite, corrupt=corrupt)
+    text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[suite, corrupt]
 
 
 def test_criterion_6_local_nilpotency():

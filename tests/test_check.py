@@ -1,0 +1,99 @@
+"""The check runner, and the rule that only `check.py` keeps a check's books."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import imcrystal
+from imcrystal.check import Check
+
+SRC = Path(imcrystal.__file__).parent
+
+
+class TestRun:
+    def test_counts_every_case_and_keeps_failures_in_order(self):
+        check = Check("odd").run(range(6), lambda n: f"{n} is odd" if n % 2 else None)
+        assert (check.checked, check.witnesses) == (6, ["1 is odd", "3 is odd", "5 is odd"])
+        assert not check.passed
+
+    def test_a_case_may_fail_several_ways(self):
+        check = Check("many").run([0, 1, 2], lambda n: [f"{n}a", f"{n}b"][:n])
+        assert (check.checked, check.witnesses) == (3, ["1a", "2a", "2b"])
+
+    def test_later_runs_add_to_the_result(self):
+        check = Check("twice").run([1], lambda n: None).run([2, 3], lambda n: f"{n}")
+        assert (check.checked, check.witnesses) == (3, ["2", "3"])
+
+    def test_no_case_passes(self):
+        check = Check("empty").run([], lambda n: "unreachable")
+        assert check.passed and check.checked == 0
+
+    def test_json_form_caps_witnesses_at_20(self):
+        check = Check("all").run(range(25), str)
+        assert check.to_dict()["witnesses"] == [str(n) for n in range(20)]
+        assert check.to_dict()["checked"] == 25
+
+
+class TestFold:
+    def test_sums_counts_and_joins_witnesses(self):
+        parts = [Check("a").run([1, 2], str), Check("b").run([3], lambda n: None)]
+        folded = Check.fold("ab", parts)
+        assert (folded.name, folded.checked, folded.witnesses) == ("ab", 3, ["1", "2"])
+
+    def test_tag_names_the_source_result(self):
+        parts = (Check(name).run([name], lambda n: "bad") for name in ("a", "b"))
+        assert Check.fold("ab", parts, tag=True).witnesses == ["a: bad", "b: bad"]
+
+
+def _bookkeeping(tree: ast.AST) -> list[str]:
+    """Each place that counts a case or collects a witness by hand."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(t, ast.Attribute) and t.attr == "checked"
+                for target in targets
+                for t in ast.walk(target)
+            ):
+                found.append(f"line {node.lineno}: assigns .checked")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Check" and (len(node.args) > 1 or node.keywords):
+                found.append(f"line {node.lineno}: passes a count to Check(...)")
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("append", "extend")
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "witnesses"
+            ):
+                found.append(f"line {node.lineno}: calls .witnesses.{func.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "check.py")
+)
+def test_only_check_py_keeps_the_books(path):
+    tree = ast.parse((SRC / path).read_text(), path)
+    assert _bookkeeping(tree) == []
+
+
+def test_the_guard_sees_each_form_of_bookkeeping():
+    tree = ast.parse(
+        "r = Check('x', 1)\n"
+        "r.checked += 1\n"
+        "r.checked, n = 2, 0\n"
+        "r.witnesses.append('w')\n"
+        "check.Check('y', checked=1).witnesses.extend([])\n"
+    )
+    assert sorted(_bookkeeping(tree)) == [
+        "line 1: passes a count to Check(...)",
+        "line 2: assigns .checked",
+        "line 3: assigns .checked",
+        "line 4: calls .witnesses.append",
+        "line 5: calls .witnesses.extend",
+        "line 5: passes a count to Check(...)",
+    ]

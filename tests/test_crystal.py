@@ -127,6 +127,23 @@ class TestAxioms:
         assert applied
         assert [key for key, n in applied.items() if n > 1] == []
 
+    def test_commutation_witness_describes_a_violation(self, monkeypatch):
+        # a lowering operator that doubles its image of the highest-weight
+        # vector: x-after-omega then reaches a class with coefficient 2
+        def doubled(m, v):
+            image = act_xminus(m, v)
+            at_top = any(mono == () for mono, _ in v.element(0).items())
+            return image * Coeff.rational(2) if at_top else image
+
+        act_xminus = crystal.act_xminus
+        monkeypatch.setattr(crystal, "act_xminus", doubled)
+        lat = LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1))
+        commutation = verify_crystal_axioms(lat, (-1, 1)).result("commutation")
+        assert commutation.witnesses[0] == (
+            "m=1, b=+[0]x[1]: x-after-omega gives xminus[1] on +[0]1: "
+            "image coefficient 2 is not a sign, omega-after-x gives +[0]x[1]"
+        )
+
     @pytest.mark.parametrize(
         "weights, window, digest",
         [
@@ -185,6 +202,20 @@ class TestSplit:
         rep = split_converse_check(lat, canonical_split(lat), (-1, 1))
         assert rep.passed
         assert len(rep.part_reports) == 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        [((1, 0), (3, 0), (-2, 0)), ((1, 1), (1, 1), (3, 1))],
+        ids=["distinct", "repeated-d1"],
+    )
+    def test_canonical_split_of_three_components(self, weights):
+        # one block per component, a repeated weight and d = 1 included
+        lat = LatticeDesc(tuple(HighestWeight(h, d) for h, d in weights), 2, (-1, 1))
+        assert verify_crystal_axioms(lat, (-1, 1)).passed
+        rep = split_converse_check(lat, canonical_split(lat), (-1, 1))
+        assert rep.compatible and rep.witnesses == []
+        assert len(rep.part_reports) == 3 and rep.passed
+        assert [r.bounds["weights"] for r in rep.part_reports] == [[list(w)] for w in weights]
 
     def test_direct_sum_coherence(self):
         window, mrange = (-1, 1), (-2, 2)
