@@ -14,9 +14,15 @@ operator range):
 * commutation: whenever both the annihilation image and the lowering
   image of a class are nonzero, the two composites agree in L/qL.
 
-Each tilde image is computed once per axiom run: the checker keeps a table
-keyed by (operator, index, signed class), and the stability, image and
-commutation checks all read from it.
+Each tilde image is computed once per table, and one table may serve
+several axiom runs.  It is keyed by (operator, index, sign, monomial,
+scales of the class's own component) and holds only the component-free
+part of the image: its coordinates with a pole at 0 and its class in L/qL,
+each by monomial.  The weight is not in the key, as the tilde operators
+act on the element of a component and never read its weight; witnesses and
+classes are built with the component of the class asked about.  So a
+direct sum, its summands and the blocks of its split all read the same
+entries, and the stability, image and commutation checks read from them.
 
 All probed conditions quantify over infinite sets in general, so every
 report carries its bounds.  A lattice may carry per-monomial scale factors
@@ -28,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .check import Check
 from .qcoeff import Coeff
@@ -89,6 +94,13 @@ class LatticeDesc:
     def classes(self) -> list[CrystalClass]:
         return [CrystalClass(1, mono, i) for i, mono in self.class_keys()]
 
+    def scale_key(self, component: int) -> frozenset:
+        """The generator scales of one component in hashable form, the part
+        of an image-table key that the lattice decides."""
+        return frozenset(
+            (mono, tuple(c.items())) for (i, mono), c in self.scales.items() if i == component
+        )
+
     def lift(self, b: CrystalClass) -> VermaVector:
         """Lattice generator representing the class: sign * scale * mono . v."""
         elem = Element({b.mono: self.scale(b.component, b.mono) * b.sign})
@@ -146,39 +158,74 @@ class ImageViolation:
 
 
 TildeImage = CrystalClass | None | ImageViolation
+# (operator, index, sign, monomial, scale key of the class's component) ->
+# (coordinates with a pole at 0, by monomial; the image in L/qL without its
+# component: None for zero, (sign, monomial), or why it is not a class)
+ImageTable = dict[
+    tuple[str, int, int, Monomial, frozenset],
+    tuple[list[tuple[Monomial, Coeff]], tuple[int, Monomial] | str | None],
+]
+ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
 
 
-def _tilde_image(
-    op: str, m: int, b: CrystalClass, lat: LatticeDesc
-) -> tuple[list[str], TildeImage]:
-    """Apply one tilde operator ("xminus" or "omega-psi") to the lift of b,
-    once.  Returns a stability witness for each lattice coordinate of the
-    image with a pole at 0, and the class of the image in L/qL: a signed
-    class, None for zero, or the violation found."""
-    apply = act_xminus if op == "xminus" else tilde_omega
-    poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
-    witnesses = [f"{op}[{m}] on {b.describe()}: {_pole_text(key)}" for key, _ in poles]
-    if poles:
-        return witnesses, ImageViolation(op, m, b, str(NotInLatticeError(*poles[0])))
+def _signed_monomial(reduced: dict[ClassKey, Fraction]) -> tuple[int, Monomial] | str | None:
+    """An image in L/qL as None for zero, (sign, monomial) for a signed
+    class, or the reason it is not one."""
     if not reduced:
-        return witnesses, None
+        return None
     if len(reduced) > 1:
-        return witnesses, ImageViolation(op, m, b, "image is a multi-term combination")
-    (key, value), = reduced.items()
+        return "image is a multi-term combination"
+    ((_, mono), value), = reduced.items()
     if abs(value) != 1:
-        return witnesses, ImageViolation(op, m, b, f"image coefficient {value} is not a sign")
-    comp, mono = key
-    return witnesses, CrystalClass(1 if value > 0 else -1, mono, comp)
+        return f"image coefficient {value} is not a sign"
+    return (1 if value > 0 else -1), mono
 
 
-def crystal_image_x(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
-    """Class of the lowering operator image in L/qL."""
-    return _tilde_image("xminus", m, b, lat)[1]
+def _image_reader(lat: LatticeDesc, table: ImageTable | None) -> ImageReader:
+    """The tilde images of lat's classes through the table (a fresh one if
+    it is None).  A miss applies the tilde operator ("xminus" or
+    "omega-psi") to the lift of b once and stores the component-free part;
+    every read returns the stability witnesses (one per lattice coordinate
+    with a pole at 0) and the class of the image in L/qL (a signed class,
+    None for zero, or the violation found), named with b's own component."""
+    table = {} if table is None else table
+    scale_keys = [lat.scale_key(i) for i in range(len(lat.weights))]
+
+    def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
+        key = (op, m, b.sign, b.mono, scale_keys[b.component])
+        if (entry := table.get(key)) is None:
+            apply = act_xminus if op == "xminus" else tilde_omega
+            poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
+            entry = table[key] = (
+                [(mono, c) for (_, mono), c in poles],
+                None if poles else _signed_monomial(reduced),
+            )
+        poles, img = entry
+        comp = b.component
+        witnesses = [
+            f"{op}[{m}] on {b.describe()}: {_pole_text((comp, mono))}" for mono, _ in poles
+        ]
+        if poles:
+            mono, c = poles[0]
+            return witnesses, ImageViolation(op, m, b, str(NotInLatticeError((comp, mono), c)))
+        if isinstance(img, str):
+            return witnesses, ImageViolation(op, m, b, img)
+        return witnesses, None if img is None else CrystalClass(*img, comp)
+
+    return image
+
+
+def crystal_image_x(
+    m: int, b: CrystalClass, lat: LatticeDesc, table: ImageTable | None = None
+) -> TildeImage:
+    """Class of the lowering operator image in L/qL, read from `table` if
+    it is given."""
+    return _image_reader(lat, table)("xminus", m, b)[1]
 
 
 def crystal_image_omega(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
     """Class of the annihilation operator image in L/qL."""
-    return _tilde_image("omega-psi", m, b, lat)[1]
+    return _image_reader(lat, None)("omega-psi", m, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +249,21 @@ class CrystalReport:
         raise KeyError(name)
 
 
-def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> CrystalReport:
-    """Run the crystal-basis axiom checks over the lattice's finite probe."""
+def verify_crystal_axioms(
+    lat: LatticeDesc, m_range: tuple[int, int], table: ImageTable | None = None
+) -> CrystalReport:
+    """Run the crystal-basis axiom checks over the lattice's finite probe.
+
+    Every check reads the tilde images from `table`, which a caller may
+    share between runs; without one the run keeps its own.  Its key is
+    (operator, index, sign, monomial, scales of the class's component) and
+    leaves out the weight, which the tilde operators never read, so the
+    components of a sum with equal scales share their images."""
     lo, hi = m_range
     classes = lat.classes()
     ms = range(lo, hi + 1)
     ops = ("xminus", "omega-psi")
-
-    @cache  # the per-run table of tilde images every check below reads
-    def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
-        return _tilde_image(op, m, b, lat)
+    image = _image_reader(lat, table)
 
     def off_weight(b: CrystalClass) -> str | None:
         # a K and D eigenvector of the expected weight
@@ -341,7 +393,7 @@ class SplitReport:
 
 
 def split_converse_check(
-    lat: LatticeDesc, split: SplitSpec, m_range: tuple[int, int]
+    lat: LatticeDesc, split: SplitSpec, m_range: tuple[int, int], table: ImageTable | None = None
 ) -> SplitReport:
     """Verify that a split of the lattice and basis into one block per
     component restricts to a crystal basis on each block.
@@ -353,7 +405,12 @@ def split_converse_check(
     is the decomposition L = L_1 + ... + L_n and, with the unit condition,
     L_j = L with M_j intersected).  Incompatible splits are reported with
     the offending generator.  Then the axiom checker runs on each block.
+
+    The blocks read their tilde images from `table` (a fresh one if none is
+    given), keyed as in `verify_crystal_axioms`: block j keeps the scales
+    of component j, so it reads the entries a run on the whole sum made.
     """
+    table = {} if table is None else table
     witnesses: list[str] = []
     cover: dict[ClassKey, int] = {}
     for j, gens in enumerate(split.parts):
@@ -410,5 +467,5 @@ def split_converse_check(
                 if i == j
             }
             sub = LatticeDesc((lat.weights[j],), lat.max_length, lat.window, scales)
-            part_reports.append(verify_crystal_axioms(sub, m_range))
+            part_reports.append(verify_crystal_axioms(sub, m_range, table))
     return SplitReport(compatible, witnesses, part_reports)

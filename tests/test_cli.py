@@ -16,7 +16,7 @@ from imcrystal.cli import (
     main,
     run_suite,
 )
-from imcrystal.qalgebra import parse_element
+from imcrystal.qalgebra import Element, parse_element
 
 
 def run(*argv):
@@ -266,6 +266,50 @@ class TestVerify:
         code, out, err = run("verify", "module", "--window", "2:-2")
         assert code == EXIT_PARSE and out == ""
         assert "--window" in err and "empty range" in err
+
+
+class TestImageWithoutWeight:
+    """A wrong action whose image mixes weights, or a lowering image that is
+    zero, is a witness of the check that reads the weight, so `verify`
+    exits 1, not 3 (domain error)."""
+
+    @pytest.mark.parametrize(
+        "name, wrong, witness",
+        [
+            ("act_xplus", lambda right: lambda k, v: right(0, v) + v,
+             "x+_0 weight wrong on h=1, x[1]"),
+            ("act_xminus", lambda right: lambda k, v: v * 0, "x-_-1 weight wrong on h=1, x[]"),
+        ],
+        ids=["mixed-xplus", "zero-xminus"],
+    )
+    def test_module_weight_decomposition(self, monkeypatch, name, wrong, witness):
+        monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+        code, out, err = run(
+            "verify", "module", "--max-length", "1", "--window", "-1:1", "--m", "-1:1",
+            "--format", "json",
+        )
+        assert code == EXIT_VERIFY_FAIL and err == ""
+        result = {r["name"]: r for r in json.loads(out)["reports"][0]["results"]}
+        assert witness in result["weight-decomposition"]["witnesses"]
+
+    def test_relations_locality_support(self, monkeypatch):
+        right = cli.omega_mono
+        far = Element.monomial((3, 3, 3, 3))  # weight (4, 12): no psi image has it
+
+        def mixed(kind, p, mono):
+            img = right(kind, p, mono)
+            return img if img.is_zero else img + far
+
+        monkeypatch.setattr(cli, "omega_mono", mixed)
+        code, out, err = run(
+            "verify", "relations", "--max-length", "1", "--window", "0:1", "--m", "0:0",
+            "--format", "json",
+        )
+        assert code == EXIT_VERIFY_FAIL and err == ""
+        result = {r["name"]: r for r in json.loads(out)["reports"][0]["results"]}
+        assert "psi[-1] on x[1]: weight mixed expected Weight(length=0, degree=0)" in (
+            result["locality-support"]["witnesses"]
+        )
 
 
 class TestWitnessText:

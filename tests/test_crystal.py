@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from imcrystal import crystal
+from imcrystal import cli, crystal
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element
 from imcrystal.verma import HighestWeight
@@ -167,6 +168,89 @@ class TestAxioms:
         assert rep.bounds["m_range"] == [-1, 1]
 
 
+# the bounds of `verify crystal --max-length 2 --window -1:1 --m -1:1`
+SMALL = {"max_length": 2, "window": (-1, 1), "m_range": (-1, 1)}
+
+
+def _rows(report):
+    return [(r.name, r.checked, r.witnesses) for r in report.results]
+
+
+def _count_applications(monkeypatch) -> Counter:
+    """Count each tilde application by operator, index and the element it
+    is applied to, which carries the sign, the monomial and its scale but
+    neither the weight nor the component."""
+    applied = Counter()
+
+    def counting(name, apply):
+        def wrapper(m, v):
+            (e,) = v.components.values()
+            applied[(name, m, repr(e))] += 1
+            return apply(m, v)
+        return wrapper
+
+    monkeypatch.setattr(crystal, "act_xminus", counting("xminus", crystal.act_xminus))
+    monkeypatch.setattr(crystal, "tilde_omega", counting("omega", crystal.tilde_omega))
+    return applied
+
+
+class TestImageTable:
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"weights": (1, 3)},
+            {"weights": (1, 3, 5)},
+            {"weights": (1, 1)},
+            {"weights": (1, 3), "d": 1},
+            {"weights": (1, 3), "corrupt": "lattice"},
+            {"weights": (1, 1), "corrupt": "lattice"},
+        ],
+        ids=["h13", "h135", "h11", "d1", "corrupt", "h11-corrupt"],
+    )
+    def test_shared_table_matches_fresh_tables(self, monkeypatch, bounds):
+        # every uncapped result of one suite run with its shared table, against
+        # the same run with a fresh table in each call, as before the sharing
+        shared = _rows(cli.suite_crystal(**SMALL, **bounds))
+        for module in (cli, crystal):
+            for name in ("verify_crystal_axioms", "split_converse_check", "crystal_image_x"):
+                original = getattr(crystal, name)
+
+                def fresh(*args, original=original):
+                    *args, table = args
+                    assert isinstance(table, dict)
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, fresh)
+        assert shared == _rows(cli.suite_crystal(**SMALL, **bounds))
+
+    @pytest.mark.parametrize(
+        "bounds, total, most",
+        [({}, 69, 1), ({"weights": (1, 3, 5)}, 69, 1), ({"corrupt": "lattice"}, 136, 2)],
+        ids=["h13", "h135", "corrupt"],
+    )
+    def test_each_image_is_applied_once_per_suite_run(self, monkeypatch, bounds, total, most):
+        # 68 tilde images serve every lattice of the run without scales, and
+        # one more is signed-image-example's x[2], outside the window.  With
+        # --corrupt lattice, component 0 has the corrupted scales and
+        # component 1 of the sum has none, so each element is applied once
+        # per scale key.  Per-call tables made 409, 477 and 405 applications.
+        applied = _count_applications(monkeypatch)
+        cli.suite_crystal(**SMALL, **bounds)
+        assert sum(applied.values()) == total
+        assert max(applied.values()) == most
+
+    def test_weight_is_not_in_the_key(self):
+        # the tilde operators never read the weight: fresh tables of three
+        # weights hold equal entries for every class of length <= 2
+        tables = []
+        for h, d in ((1, 0), (3, 0), (-2, 1)):
+            tables.append({})
+            lat = LatticeDesc((HighestWeight(h, d),), 2, (-2, 2))
+            verify_crystal_axioms(lat, (-2, 2), tables[-1])
+        assert len(tables[0]) > 100
+        assert tables[0] == tables[1] == tables[2]
+
+
 class TestAssemble:
     def test_single(self):
         lat, basis = assemble_direct_sum_basis([HighestWeight(1, 0)], 1, (0, 1))
@@ -216,6 +300,31 @@ class TestSplit:
         assert rep.compatible and rep.witnesses == []
         assert len(rep.part_reports) == 3 and rep.passed
         assert [r.bounds["weights"] for r in rep.part_reports] == [[list(w)] for w in weights]
+
+    def test_three_components_with_a_repeated_weight_at_default_bounds(self):
+        m_range, table = (-3, 3), {}
+        weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(1, 0))
+        lat = LatticeDesc(weights, 3, (-2, 2))
+        assert verify_crystal_axioms(lat, m_range, table).passed
+        rep = split_converse_check(lat, canonical_split(lat), m_range, table)
+        assert rep.compatible and rep.witnesses == []
+        assert len(rep.part_reports) == 3 and rep.passed
+
+    def test_corrupted_three_components(self):
+        # the corrupted generator lies in component 0: only its classes fail
+        # stability, and the component split itself stays compatible
+        m_range, table = (-1, 1), {}
+        weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(-2, 0))
+        lat = corrupted_lattice(LatticeDesc(weights, 2, (-1, 1)))
+        stability = verify_crystal_axioms(lat, m_range, table).result("lattice-stability")
+        assert stability.witnesses
+        for w in stability.witnesses:
+            assert re.findall(r"(?:[+-]|of )\[(\d+)\]", w) == ["0", "0"], w
+        rep = split_converse_check(lat, canonical_split(lat), m_range, table)
+        assert rep.compatible and rep.witnesses == []
+        assert [r.passed for r in rep.part_reports] == [False, True, True]
+        block = rep.part_reports[0].result("lattice-stability")
+        assert block.witnesses == stability.witnesses
 
     def test_direct_sum_coherence(self):
         window, mrange = (-1, 1), (-2, 2)
