@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .check import Check
 from .qcoeff import Coeff
@@ -223,11 +223,6 @@ def crystal_image_x(
     return _image_reader(lat, table)("xminus", m, b)[1]
 
 
-def crystal_image_omega(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
-    """Class of the annihilation operator image in L/qL."""
-    return _image_reader(lat, None)("omega-psi", m, b)[1]
-
-
 # ---------------------------------------------------------------------------
 # axiom verification
 
@@ -236,7 +231,6 @@ def crystal_image_omega(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage
 class CrystalReport:
     bounds: dict
     results: list[Check]
-    observed_signs: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -311,11 +305,6 @@ def verify_crystal_axioms(
          and isinstance(x_b := image("xminus", m, b)[1], CrystalClass)),
         noncommuting,
     )
-    observed = [
-        f"{op}[{m}] {b.describe()} -> {img.describe()}"
-        for b in classes for m in ms for op in ops
-        if isinstance(img := image(op, m, b)[1], CrystalClass)
-    ]
 
     bounds = {
         "weights": [[w.h, w.d] for w in lat.weights],
@@ -323,19 +312,7 @@ def verify_crystal_axioms(
         "window": list(lat.window),
         "m_range": [lo, hi],
     }
-    return CrystalReport(
-        bounds, [stability, grading, images_x, images_omega, commutation], observed
-    )
-
-
-def assemble_direct_sum_basis(
-    weights: Iterable[HighestWeight],
-    max_length: int,
-    window: tuple[int, int],
-) -> tuple[LatticeDesc, list[CrystalClass]]:
-    """Componentwise lattice and disjoint-union basis for a direct sum."""
-    lat = LatticeDesc(tuple(weights), max_length, window)
-    return lat, lat.classes()
+    return CrystalReport(bounds, [stability, grading, images_x, images_omega, commutation])
 
 
 def corrupted_lattice(lat: LatticeDesc) -> LatticeDesc:

@@ -27,7 +27,6 @@ psi operators and left multiplication, with gamma kept formal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -47,17 +46,6 @@ from .qalgebra import (
 
 PSI = "psi"
 PHI = "phi"
-
-
-@dataclass(frozen=True)
-class OmegaKind:
-    """One named operator component, usable as a map on elements."""
-
-    kind: str  # "psi" or "phi"
-    component: int
-
-    def __call__(self, e: Element) -> Element:
-        return omega_apply(self.kind, self.component, e)
 
 
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}

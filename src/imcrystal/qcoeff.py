@@ -5,18 +5,27 @@ extended by Laurent powers of a formal central ``gamma^(1/2)``.  Exponents
 of both q and gamma are always counted in half units: ``q**2`` has
 half-exponent 4, ``gamma**(1/2)`` has half-exponent 1.
 
-``Coeff`` is the coefficient the algebra computes with.  Every value the
-verification suites produce is a Laurent polynomial, and ``Coeff`` holds
-those in its hot form: one dict ``{(gamma_halfexp, q_halfexp): int}``
-that stores no zero, over one shared positive ``int`` denominator prime
-to the values taken together.  Sums, products and quotients by monomials
-divide out a common factor only when the denominator is not 1.  The form
-is unique as built, so equality compares the dict and the denominator,
-and no step of the hot arithmetic builds a dense polynomial or a
-``Fraction``.
+``Coeff`` is the coefficient the algebra computes with.  Every divisor
+is gamma-homogeneous, so every value is one canonical form,
 
-``QRat`` is the public and the cold form: one rational function of s,
-stored q-adically as
+    N(gamma, s) / (d * D(s))
+
+where N is a sparse dict ``{(gamma_halfexp, q_halfexp): int}`` that stores
+no zero, d is a positive ``int`` prime to the values of N taken together,
+and D is a primitive integer polynomial with nonzero constant term and
+positive leading coefficient that no polynomial divides together with
+every gamma term of N.  The form is unique as built, so equality compares
+N, d and D.  Every value the verification suites produce is a Laurent
+polynomial, with the one shared D = ``_ONE``: there sums, products and
+quotients by monomials divide out only an integer factor, and only when d
+is not 1, and no step builds a dense polynomial or a ``Fraction``.  Only
+the parser's division by a non-monomial scalar, or a ``QRat`` with a
+denominator, makes a D of positive degree; a polynomial gcd then cancels
+the common factor.  ``Coeff.items()`` reads the value as sorted
+``(gamma_halfexp, QRat)`` pairs.
+
+``QRat`` is the public form of one rational function of s, stored
+q-adically as
 
     scale * s^shift * num(s) / den(s)
 
@@ -24,11 +33,7 @@ where ``scale`` is a nonzero rational, ``shift`` counts half powers of q,
 and ``num``/``den`` are coprime primitive integer polynomials with nonzero
 constant term and positive leading coefficient.  ``_canon`` brings every
 result to this form, which is unique, and ``shift`` is exactly the q-adic
-valuation used for regularity-at-zero tests.  A ``Coeff`` whose value is
-not Laurent (only the parser's division by a non-monomial scalar, or a
-``QRat`` with a denominator, makes one) holds ``{gamma_halfexp: QRat}``
-instead, and its arithmetic goes through ``QRat``.  ``Coeff.items()``
-reads either form as sorted ``(gamma_halfexp, QRat)`` pairs.
+valuation used for regularity-at-zero tests.
 """
 
 from __future__ import annotations
@@ -310,54 +315,32 @@ def g_coeff_bar(r: int) -> QRat:
     return QRat.from_laurent({-4 * r - 4: 1, -4 * r + 4: -1})
 
 
-Q_DIFF = QRat.from_laurent({2: 1, -2: -1})  # q - q^-1
-
-
 # ---------------------------------------------------------------------------
-# Coeff: sparse Laurent map over a shared denominator
+# Coeff: a sparse map over an integer times a polynomial in s
 
 
 _Key = tuple[int, int]  # (gamma half-exponent, q half-exponent)
 _UNIT: dict[_Key, int] = {(0, 0): 1}
+_ONE = (1,)  # the denominator polynomial of every Laurent value
 _new = object.__new__
 
 
 class Coeff:
-    """A coefficient: a value of the ring in one of two canonical forms.
+    """A coefficient: N / (d * D), canonical as the module docstring says.
 
-    Hot form (every Laurent value): ``_t`` maps (gamma half-exponent,
-    q half-exponent) to a nonzero int and ``_d`` is one shared positive
-    int denominator, prime to the values taken together; ``_cold`` is
-    None.  Cold form (any other value): ``_cold`` maps gamma
-    half-exponents to nonzero QRat values, one of them at least with a
-    denominator, and ``_t`` is empty with ``_d`` 1.  Treated as immutable.
+    ``_t`` maps (gamma half-exponent, q half-exponent) to a nonzero int,
+    ``_d`` is a positive int prime to the values taken together, and ``_D``
+    is an ascending tuple of ints, a primitive polynomial in s with nonzero
+    constant term and positive leading coefficient, that has no factor in
+    common with every gamma term of ``_t``.  A Laurent value holds the
+    shared ``_ONE``.  Treated as immutable.
     """
 
-    __slots__ = ("_t", "_d", "_cold")
+    __slots__ = ("_t", "_d", "_D")
 
     def __init__(self, terms: dict[int, QRat] | None = None):
-        terms = {g: r for g, r in (terms or {}).items() if not r.is_zero}
-        self._t: dict[_Key, int] = {}
-        self._d = 1
-        self._cold: dict[int, QRat] | None = None
-        if any(r.den != (1,) for r in terms.values()):
-            self._cold = terms
-            return
-        # canonical as built: a prime dividing d divides the scale
-        # denominator of some term to the highest power, and the values of
-        # that term are a primitive num times a numerator prime to it
-        self._d = d = math.lcm(*(r.scale.denominator for r in terms.values()))
-        for g, r in terms.items():
-            m = r.scale.numerator * (d // r.scale.denominator)
-            for i, c in enumerate(r.num):
-                if c:
-                    self._t[g, r.shift + i] = m * c
-
-    def _qrats(self) -> dict[int, QRat]:
-        """The value as {gamma half-exponent: QRat}."""
-        if self._cold is not None:
-            return self._cold
-        return {g: _laurent_qrat(pairs, self._d) for g, pairs in _by_gamma(self._t).items()}
+        out = sum((_of_qrat(r, g) for g, r in (terms or {}).items() if r), Coeff.zero())
+        self._t, self._d, self._D = out._t, out._d, out._D
 
     # -- constructors --------------------------------------------------------
 
@@ -396,38 +379,36 @@ class Coeff:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._t or self._cold)
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self._t or self._cold)
+        return bool(self._t)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self._t == other._t and self._d == other._d and self._cold == other._cold
+        return self._t == other._t and self._d == other._d and self._D == other._D
 
     def items(self) -> Iterator[tuple[int, QRat]]:
-        return iter(sorted(self._qrats().items()))
+        d, D = Fraction(1, self._d), self._D
+        return iter([(g, _canon(d, pairs[0][0], _poly(pairs), D))
+                     for g, pairs in _by_gamma(self._t).items()])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> Coeff:
-        if self._cold is not None:
-            return Coeff({g: -r for g, r in self._cold.items()})
-        return _hot({k: -v for k, v in self._t.items()}, self._d)
+        return _hot({k: -v for k, v in self._t.items()}, self._d, self._D)
 
     def __add__(self, other: Coeff) -> Coeff:
-        if self._cold is not None or other._cold is not None:
-            out = dict(self._qrats())
-            for g, r in other._qrats().items():
-                out[g] = out[g] + r if g in out else r
-            return Coeff(out)
         a, b = self._t, other._t
         if not b:
             return self
         if not a:
             return other
-        da, db = self._d, other._d
+        da, db, D = self._d, other._d, self._D
+        if D is not other._D and D != other._D:
+            # over the product of the two denominator polynomials
+            a, b, D = _times(a, other._D), _times(b, D), _pmul(D, other._D)
         if len(a) < len(b):
             a, b, da, db = b, a, db, da
         # fold the smaller map into a copy of the larger one, both over d
@@ -443,7 +424,9 @@ class Coeff:
                 t[k] = v
             else:
                 del t[k]
-        return _hot(t) if d == 1 else _reduced(t, d)
+        if D is _ONE:
+            return _hot(t) if d == 1 else _reduced(t, d)
+        return _make(t, d, D)
 
     def __sub__(self, other: Coeff) -> Coeff:
         return self + (-other)
@@ -453,17 +436,10 @@ class Coeff:
             other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
         a, b = self._t, other._t
         # the unit returns the other operand, as in QRat.__mul__
-        if a == _UNIT and self._d == 1:
+        if a == _UNIT and self._d == 1 and self._D is _ONE:
             return other
-        if b == _UNIT and other._d == 1:
+        if b == _UNIT and other._d == 1 and other._D is _ONE:
             return self
-        if self._cold is not None or other._cold is not None:
-            out: dict[int, QRat] = {}
-            for g1, r1 in self._qrats().items():
-                for g2, r2 in other._qrats().items():
-                    g = g1 + g2
-                    out[g] = out[g] + r1 * r2 if g in out else r1 * r2
-            return Coeff(out)
         t: dict[_Key, int] = {}
         for (g1, e1), v1 in a.items():
             for (g2, e2), v2 in b.items():
@@ -473,7 +449,9 @@ class Coeff:
         if len(a) > 1 < len(b) and 0 in t.values():
             t = {k: v for k, v in t.items() if v}
         d = self._d * other._d
-        return _hot(t) if d == 1 else _reduced(t, d)
+        if self._D is other._D is _ONE:
+            return _hot(t) if d == 1 else _reduced(t, d)
+        return _make(t, d, _pmul(self._D, other._D))
 
     __rmul__ = __mul__
 
@@ -482,24 +460,21 @@ class Coeff:
             other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
         if other.is_zero:
             raise CoefficientError("division by zero")
-        if len({g for g, _ in other._t} if other._cold is None else other._cold) != 1:
+        if len({g for g, _ in other._t}) != 1:
             raise CoefficientError("division only by gamma-homogeneous values")
-        if self._cold is None and len(other._t) == 1:
+        if len(other._t) == 1 and other._D is _ONE:
             # by a monomial v/d q^e gamma^g: multiply by d/v, shift the exponents
             ((g0, e0), v0), = other._t.items()
             m = other._d if v0 > 0 else -other._d
-            return _reduced(
-                {(g - g0, e - e0): v * m for (g, e), v in self._t.items()}, self._d * abs(v0)
-            )
-        (g0, r0), = other._qrats().items()
-        return Coeff({g - g0: r / r0 for g, r in self._qrats().items()})
+            t = {(g - g0, e - e0): v * m for (g, e), v in self._t.items()}
+            return _reduced(t, self._d * abs(v0), self._D)
+        (g0, r0), = other.items()
+        return self * Coeff({-g0: QRat.one() / r0})
 
     # -- inspection ----------------------------------------------------------
 
     def valuation(self) -> int | float:
         """Minimum q-adic valuation over gamma terms; +inf for zero."""
-        if self._cold is not None:
-            return min(r.shift for r in self._cold.values())
         return min((e for _, e in self._t), default=math.inf)
 
     def is_regular_at_zero(self) -> bool:
@@ -509,9 +484,7 @@ class Coeff:
         """Value of each gamma term at q = 0; rejects poles."""
         if self.valuation() < 0:
             raise CoefficientError("pole at q = 0")
-        if self._cold is not None:
-            return {g: v for g, r in self._cold.items() if (v := r.at_zero())}
-        return {g: Fraction(v, self._d) for (g, e), v in self._t.items() if not e}
+        return {g: Fraction(v, self._d * self._D[0]) for (g, e), v in self._t.items() if not e}
 
     def constant_at_zero(self) -> Fraction:
         """Value at q = 0 for a gamma-free coefficient."""
@@ -521,37 +494,75 @@ class Coeff:
 
     def specialize_gamma_one(self) -> Coeff:
         """Sum all gamma terms: the gamma = 1 specialization."""
-        if self._cold is not None:
-            return Coeff({0: sum(self._cold.values(), QRat.zero())})
         out: dict[_Key, int] = {}
         for (_, e), v in self._t.items():
             out[0, e] = out.get((0, e), 0) + v
-        return _reduced({k: v for k, v in out.items() if v}, self._d)
+        return _make({k: v for k, v in out.items() if v}, self._d, self._D)
 
     def is_gamma_free(self) -> bool:
-        if self._cold is not None:
-            return all(g == 0 for g in self._cold)
         return not any(g for g, _ in self._t)
 
     def __repr__(self) -> str:
         return f"Coeff({format_coeff(self)!r})"
 
 
-def _hot(t: dict[_Key, int], d: int = 1) -> Coeff:
-    """Wrap a hot map already free of zero values and prime to d, without
+def _hot(t: dict[_Key, int], d: int = 1, D: tuple[int, ...] = _ONE) -> Coeff:
+    """Wrap a map already in the canonical form over d and D, without
     copying it."""
     out = _new(Coeff)
-    out._t, out._d, out._cold = t, d, None
+    out._t, out._d, out._D = t, d, D
     return out
 
 
-def _reduced(t: dict[_Key, int], d: int) -> Coeff:
+def _reduced(t: dict[_Key, int], d: int, D: tuple[int, ...] = _ONE) -> Coeff:
     """_hot once the common factor of d and the values is divided out."""
     c = math.gcd(d, *t.values())
     if c != 1:
         t = {k: v // c for k, v in t.items()}
         d //= c
-    return _hot(t, d)
+    return _hot(t, d, D)
+
+
+def _make(t: dict[_Key, int], d: int, D: tuple[int, ...]) -> Coeff:
+    """The Coeff of t / (d * D), for t free of zero values and D primitive
+    with nonzero constant term and positive leading coefficient: the common
+    factor of D and every gamma term of t is divided out, then that of d
+    and the values."""
+    if D is not _ONE:
+        terms = _by_gamma(t)
+        g = D
+        for pairs in terms.values():
+            g = _pgcd(_poly(pairs), g)
+        if len(g) > 1:
+            # exact, by Gauss's lemma; zero (no terms) leaves D / D = 1
+            t = {
+                (gam, pairs[0][0] + i): v
+                for gam, pairs in terms.items()
+                for i, v in enumerate(_pquo(_poly(pairs), g))
+                if v
+            }
+            D = _pquo(D, g) if g != D else _ONE
+    return _reduced(t, d, D)
+
+
+def _of_qrat(r: QRat, g: int) -> Coeff:
+    """The nonzero QRat r times gamma^(g/2), canonical as built: num is
+    primitive and prime to den."""
+    m = r.scale.numerator
+    return _hot(
+        {(g, r.shift + i): m * c for i, c in enumerate(r.num) if c},
+        r.scale.denominator,
+        _ONE if r.den == _ONE else r.den,
+    )
+
+
+def _times(t: dict[_Key, int], p: tuple[int, ...]) -> dict[_Key, int]:
+    """The map t times the polynomial p in s, free of zero values."""
+    out: dict[_Key, int] = {}
+    for (g, e), v in t.items():
+        for i, c in enumerate(p):
+            out[g, e + i] = out.get((g, e + i), 0) + v * c
+    return {k: v for k, v in out.items() if v}
 
 
 def _by_gamma(t: dict[_Key, int]) -> dict[int, list[tuple[int, int]]]:
@@ -563,20 +574,19 @@ def _by_gamma(t: dict[_Key, int]) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
+def _poly(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Ascending (e, v) pairs as a polynomial in s, from the lowest e."""
+    e0 = pairs[0][0]
+    out = [0] * (pairs[-1][0] - e0 + 1)
+    for e, v in pairs:
+        out[e - e0] = v
+    return tuple(out)
+
+
 def _content(pairs: list[tuple[int, int]]) -> int:
     """gcd of the values of ascending pairs, with the sign of the top one."""
     c = math.gcd(*(v for _, v in pairs))
     return -c if pairs[-1][1] < 0 else c
-
-
-def _laurent_qrat(pairs: list[tuple[int, int]], d: int) -> QRat:
-    """The QRat of the sum of v/d q^(e/2) over ascending (e, v) pairs."""
-    c = _content(pairs)
-    shift = pairs[0][0]
-    num = [0] * (pairs[-1][0] - shift + 1)
-    for e, v in pairs:
-        num[e - shift] = v // c
-    return QRat(Fraction(c, d), shift, tuple(num), (1,))
 
 
 def congruent_mod_q2(c: Coeff, target: Rational) -> bool:
@@ -635,7 +645,7 @@ def _format_factored(
 
 
 def _format_laurent_term(pairs: list[tuple[int, int]], d: int, gamma_halfexp: int) -> str:
-    """One gamma term of the hot form, given as ascending (e, v) pairs over d.
+    """One gamma term of a Laurent value, given as ascending (e, v) pairs over d.
     Without gamma it prints as one polynomial; with gamma, sign, content
     and q-shift are factored out as the QRat form has them."""
     if gamma_halfexp == 0:
@@ -648,7 +658,7 @@ def _format_laurent_term(pairs: list[tuple[int, int]], d: int, gamma_halfexp: in
 
 
 def _format_qrat_term(r: QRat, gamma_halfexp: int) -> str:
-    """One gamma term of the cold form."""
+    """One gamma term of a value that is not Laurent."""
     if r.den == (1,):
         pairs = [(r.shift + i, r.scale.numerator * c) for i, c in enumerate(r.num) if c]
         return _format_laurent_term(pairs, r.scale.denominator, gamma_halfexp)
@@ -662,10 +672,10 @@ def format_coeff(c: Coeff) -> str:
     in ascending powers."""
     if c.is_zero:
         return "0"
-    if c._cold is None:
+    if c._D is _ONE:
         texts = [_format_laurent_term(pairs, c._d, g) for g, pairs in _by_gamma(c._t).items()]
     else:
-        texts = [_format_qrat_term(r, g) for g, r in sorted(c._cold.items())]
+        texts = [_format_qrat_term(r, g) for g, r in c.items()]
     parts = [texts[0]]
     for text in texts[1:]:
         parts.append(" - " + text[1:] if text.startswith("-") else " + " + text)

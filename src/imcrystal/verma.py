@@ -316,15 +316,6 @@ GENERATORS: dict[str, Callable[[int, VermaVector], VermaVector]] = {
     "K1": lambda k, v: act_K(v, 1),
 }
 
-_CHEVALLEY = ("E0", "E1", "F0", "F1", "K0", "K1", "D")
-
-
-def act_chevalley(gen: str, v: VermaVector) -> VermaVector:
-    """Chevalley generators through the loop-generator dictionary."""
-    if gen not in _CHEVALLEY:
-        raise ValueError(f"unknown Chevalley generator {gen!r}")
-    return GENERATORS[gen](0, v)
-
 
 # ---------------------------------------------------------------------------
 # probes and intertwining checks

@@ -1,7 +1,9 @@
-"""The check runner, and the rule that only `check.py` keeps a check's books."""
+"""The check runner, the rule that only `check.py` keeps a check's books,
+and the rule that `src/` holds no name that only tests use."""
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -9,6 +11,7 @@ import imcrystal
 from imcrystal.check import Check
 
 SRC = Path(imcrystal.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 class TestRun:
@@ -97,3 +100,61 @@ def test_the_guard_sees_each_form_of_bookkeeping():
         "line 5: calls .witnesses.extend",
         "line 5: passes a count to Check(...)",
     ]
+
+
+def _top_level(tree: ast.Module) -> Iterator[str]:
+    """The names a module binds at top level: functions, classes and
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _uses(tree: ast.AST) -> Iterator[str]:
+    """Every name a module reads: as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _unused(modules: dict[str, ast.Module], keep: set[str]) -> list[str]:
+    """'module.name' for each top-level name that no module reads and that
+    is not in keep; dunder names are left out."""
+    used = {name for tree in modules.values() for name in _uses(tree)} | keep
+    return sorted(
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name in _top_level(tree)
+        if name not in used and not name.startswith("__")
+    )
+
+
+def test_no_library_name_is_only_for_tests():
+    # a name no module of the package reads must be public or traced;
+    # perfbench/tracer.py rebinds its names by string, as "function" or
+    # "Class.method"
+    modules = {p.stem: ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))}
+    traced = {
+        part
+        for node in ast.walk(ast.parse(TRACER.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
+    assert _unused(modules, set(imcrystal.__all__) | traced) == []
+
+
+def test_the_guard_sees_each_kind_of_name():
+    modules = {
+        "a": ast.parse("def f(): pass\nclass C: pass\nX = 1\nY: int = 2\n_Z, W = 3, 4\n"
+                       "__all__ = []\n"),
+        "b": ast.parse("from a import f\nimport math\nprint(C.X, math.pi)\n"
+                       "def g(): return _Z\n"),
+    }
+    assert _unused(modules, {"W"}) == ["a.Y", "b.g"]

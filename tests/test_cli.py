@@ -86,6 +86,21 @@ def test_printed_forms(argv, expected):
     assert code == EXIT_PASS and json.loads(out) == {"element": expected}
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("omega", "--kind", "psi", "-p", "-1", "x[1]/(1+q)"), "1/(1+q)*g^-1"),
+    (("pair", "x[1]/(1+q)", "x[1]"), "1/(1+q) (not congruent to a rational mod q^2)"),
+    (("act", "--gen", "x+", "-k", "0", "--h", "2", "x[0]x[0]/(1+q^2)"),
+     "[0] q^-1*x[0] @ (h=2,d=0)"),
+    (("normalize", "x[0]/(1+q)+g*x[0]/(1-q^2)"), "(1/(1+q) - 1/(-1+q^2)*g)*x[0]"),
+    (("normalize", "x[1]/(1+q)/(1-q)*(1-q^2)"), "x[1]"),
+])
+def test_values_with_a_denominator(argv, expected):
+    # a denominator of positive degree through each command, cancelled
+    # against a numerator factor in the last three
+    code, out, _ = run(*argv)
+    assert code == EXIT_PASS and out == expected
+
+
 class TestPair:
     def test_residue_display(self):
         code, out, _ = run("pair", "x[1]x[1]", "x[1]x[1]")

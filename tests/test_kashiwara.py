@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+from functools import partial
 from itertools import product
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from imcrystal.qcoeff import Coeff, g_coeff, g_coeff_bar
 from imcrystal.qalgebra import Element, Weight, enumerate_all
 from imcrystal.kashiwara import (
-    OmegaKind,
     PHI,
     PSI,
     RELATIONS,
@@ -61,7 +61,7 @@ class TestRecursionExamples:
         assert omega_mono(PHI, 1, (2,)).is_zero
 
     def test_named_component(self):
-        op = OmegaKind(PSI, 0)
+        op = partial(omega_apply, PSI, 0)
         assert op(x(1, 0)) == Element({(1,): Coeff.q_power(4)})
 
 

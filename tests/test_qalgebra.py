@@ -23,6 +23,7 @@ from imcrystal.qalgebra import (
     _tokenize,
 )
 from imcrystal.verma import HighestWeight, _xplus_mono
+from test_qcoeff import in_one_form
 
 Q2 = Coeff.q_power(4)
 
@@ -299,13 +300,8 @@ pieces = st.lists(st.tuples(small_elements, st.none() | small_coeffs), max_size=
 
 
 def no_stored_zero(e):
-    # neither a zero Coeff nor a zero value inside one, in either form
-    return all(
-        not c.is_zero
-        and all(v != 0 for v in c._t.values())
-        and all(not r.is_zero for r in (c._cold or {}).values())
-        for c in e._terms.values()
-    )
+    # no zero Coeff, and each one in the canonical form
+    return all(not c.is_zero and in_one_form(c) for c in e._terms.values())
 
 
 @settings(max_examples=100, deadline=None)

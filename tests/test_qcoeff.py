@@ -10,7 +10,7 @@ from imcrystal.qcoeff import (
     Coeff,
     CoefficientError,
     QRat,
-    Q_DIFF,
+    _ONE,
     _canon,
     _pmul,
     congruent_mod_q2,
@@ -23,6 +23,9 @@ from imcrystal.qcoeff import (
 
 def laurent(terms):
     return QRat.from_laurent(terms)
+
+
+Q_DIFF = laurent({2: 1, -2: -1})  # q - q^-1
 
 
 class TestQRatExamples:
@@ -586,12 +589,40 @@ def gamma_terms(draw, max_terms=3):
     }
 
 
+def ref_gcd_degree(polys):
+    """Degree of the gcd of ascending integer polynomials, by Euclid's
+    algorithm over the rationals; -1 if all of them are zero."""
+    g = []
+    for p in polys:
+        a, b = g, [Fraction(x) for x in p]
+        while b:
+            while len(a) >= len(b):  # a mod b
+                c = a[-1] / b[-1]
+                a = [x - c * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)]
+                while a and a[-1] == 0:
+                    a.pop()
+            a, b = b, a
+        g = a
+    return len(g) - 1
+
+
 def in_one_form(c):
-    """Laurent values are sparse maps of nonzero ints over one positive
-    denominator prime to them; any other value keeps its QRat terms."""
-    if c._cold is None:
-        return all(c._t.values()) and c._d > 0 and math.gcd(c._d, *c._t.values()) == 1
-    return c._t == {} and c._d == 1 and any(r.den != (1,) for r in c._cold.values())
+    """N / (d * D): N a map of nonzero ints, d a positive int prime to them,
+    and D a primitive integer polynomial with nonzero constant term and
+    positive top coefficient that shares no factor of positive degree with
+    all the gamma terms of N; a Laurent value holds the shared (1,)."""
+    t, d, D = c._t, c._d, c._D
+    by_gamma = {}
+    for (g, e), v in t.items():
+        by_gamma.setdefault(g, {})[e] = v
+    polys = [[vs.get(e, 0) for e in range(min(vs), max(vs) + 1)] for vs in by_gamma.values()]
+    return (
+        all(type(v) is int and v for v in t.values())
+        and type(d) is int and d > 0 and math.gcd(d, *t.values()) == 1
+        and type(D) is tuple and all(type(x) is int for x in D)
+        and D[0] != 0 and D[-1] > 0 and math.gcd(*D) == 1
+        and (D is _ONE if D == (1,) else ref_gcd_degree([D, *polys]) == 0)
+    )
 
 
 def same(c, ref):
@@ -646,7 +677,50 @@ def test_sparse_inspection_matches_reference(ta, target):
 def test_built_in_the_form_of_its_value(ta):
     c = Coeff(ta)
     assert in_one_form(c)
-    assert (c._cold is None) == all(r.den == (1,) for r in ta.values())
+    assert (c._D is _ONE) == all(r.den == (1,) for r in ta.values())
+
+
+def inverse(*laurent_terms):
+    """1 / (sum of c q^(e/2) over (e, c) pairs) as a Coeff."""
+    return Coeff.from_qrat(QRat.one() / laurent(dict(laurent_terms)))
+
+
+class TestOneForm:
+    def test_a_cancelled_denominator_leaves_the_shared_one(self):
+        one_plus_q = Coeff.one() + Coeff.q_power(2)
+        for c in (
+            inverse((0, 1), (2, 1)) * one_plus_q,
+            inverse((0, 1), (2, 1)) + Coeff.q_power(2) * inverse((0, 1), (2, 1)),
+            one_plus_q / one_plus_q,
+            inverse((0, 1), (2, 1)) - inverse((0, 1), (2, 1)),
+        ):
+            assert in_one_form(c) and c._D is _ONE and c.valuation() in (0, math.inf)
+
+    def test_sum_over_a_common_factor(self):
+        # 1/(1+q) + g/(1-q^2): D is -1+q^2 in s = q^(1/2), with a positive top
+        c = inverse((0, 1), (2, 1)) + inverse((0, 1), (4, -1)) * Coeff.gamma_power(2)
+        assert in_one_form(c) and c._D == (-1, 0, 0, 0, 1)
+        assert format_coeff(c) == "1/(1+q) - 1/(-1+q^2)*g"
+
+    def test_a_factor_of_only_one_gamma_term_stays(self):
+        # ((1+q) g + q)/(1+q): 1+q divides the g term only, so it stays
+        one_plus_q = Coeff.one() + Coeff.q_power(2)
+        c = inverse((0, 1), (2, 1)) * (one_plus_q * Coeff.gamma_power(2) + Coeff.q_power(2))
+        assert in_one_form(c) and c._D == (1, 0, 1)
+        assert [r.den for _, r in c.items()] == [(1, 0, 1), (1,)]
+
+    def test_specialization_cancels_the_denominator(self):
+        # (g + q)/(1+q) at g = 1 is 1
+        c = inverse((0, 1), (2, 1)) * (Coeff.gamma_power(2) + Coeff.q_power(2))
+        assert in_one_form(c) and c._D == (1, 0, 1)
+        assert c.specialize_gamma_one() == Coeff.one()
+        assert c.specialize_gamma_one()._D is _ONE
+
+    def test_inspection_reads_the_denominator(self):
+        c = inverse((0, 2), (2, 1)) * Coeff.rational(3)  # 3/(2+q)
+        assert c.reduce_at_zero() == {0: Fraction(3, 2)}
+        assert c.valuation() == 0 and c.is_gamma_free()
+        assert (c * Coeff.q_power(-2)).valuation() == -2
 
 
 def test_quantum_matches_quantum_int():

@@ -8,16 +8,16 @@ from math import factorial
 import pytest
 
 from imcrystal.kashiwara import _compositions
-from imcrystal.qcoeff import Coeff, Q_DIFF, QRat, g_coeff, g_coeff_bar, quantum_int
+from imcrystal.qcoeff import Coeff, QRat, g_coeff, g_coeff_bar, quantum_int
 from imcrystal.qalgebra import Element, _linear_sum, enumerate_all, normalize_word, parse_element
 from imcrystal.verma import (
+    GENERATORS,
     HighestWeight,
     VermaVector,
     _extend,
     _h_mono,
     _psi_phi_diff,
     _xplus_mono,
-    act_chevalley,
     act_D,
     act_h,
     act_K,
@@ -36,8 +36,16 @@ from imcrystal.verma import (
 )
 
 
+Q_DIFF = QRat.from_laurent({2: 1, -2: -1})  # q - q^-1
+
+
 def x(*indices):
     return Element.monomial(indices)
+
+
+def chevalley(gen, v):
+    """A Chevalley generator as `act --gen` applies it: GENERATORS at k = 0."""
+    return GENERATORS[gen](0, v)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +374,25 @@ class TestDiagonal:
 class TestChevalley:
     def test_examples(self):
         M = direct_sum([HighestWeight(1, 0)])
-        assert act_chevalley("E1", M.inject(0, x(0))).element(0) == Element.scalar(
+        assert chevalley("E1", M.inject(0, x(0))).element(0) == Element.scalar(
             Coeff.quantum(1)
         )
-        assert act_chevalley("F1", M.highest()).element(0) == x(0)
+        assert chevalley("F1", M.highest()).element(0) == x(0)
         M2 = direct_sum([HighestWeight(2, 0)])
-        assert act_chevalley("K0", M2.highest()).element(0) == Element.scalar(
+        assert chevalley("K0", M2.highest()).element(0) == Element.scalar(
             Coeff.q_power(-4)
         )
 
     def test_E0_through_dictionary(self):
         M = direct_sum([HighestWeight(3, 0)])
-        assert act_chevalley("E0", M.highest()).element(0) == x(1) * Coeff.q_power(-6)
+        assert chevalley("E0", M.highest()).element(0) == x(1) * Coeff.q_power(-6)
 
     def test_EF_commutator(self):
         # E1 F1 - F1 E1 = (K1 - K1^-1)/(q - q^-1) on samples
         M = direct_sum([HighestWeight(2, 0)])
         for mono in enumerate_all(2, (-1, 1)):
             v = M.inject(0, Element.monomial(mono))
-            lhs = act_chevalley("E1", act_chevalley("F1", v)) - act_chevalley(
-                "F1", act_chevalley("E1", v)
-            )
+            lhs = chevalley("E1", chevalley("F1", v)) - chevalley("F1", chevalley("E1", v))
             rhs = (act_K(v) - act_K(v, -1)).map_components(
                 lambda i, e: Element(
                     {m: c / Coeff.from_qrat(Q_DIFF) for m, c in e.items()}
@@ -396,8 +402,8 @@ class TestChevalley:
 
     def test_unknown_generator(self):
         M = direct_sum([HighestWeight(1, 0)])
-        with pytest.raises(ValueError):
-            act_chevalley("E2", M.highest())
+        with pytest.raises(KeyError):
+            chevalley("E2", M.highest())
 
 
 class TestTildeOmega:
