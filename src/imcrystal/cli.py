@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -713,30 +714,39 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
         print(text)
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    """Join range values onto their flags so argparse does not mistake
-    '-2:2' for an option (the documented syntax is '--window -2:2')."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--window", "--m") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+# an element that starts with '-', as in -x[0], -3*x[0], -(x[0]), -[2]*x[0]
+# or -g*x[0]; argparse itself reads -2 and -1.5 as values, not options
+_SIGNED_ELEMENT = re.compile(r"-(?!\d+(\.\d+)?$)[\d(\[xqg]")
+
+
+def _argparse_argv(argv: list[str]) -> list[str]:
+    """The arguments as argparse should see them: range values joined onto
+    their flags, so '-2:2' is not mistaken for an option (the documented
+    syntax is '--window -2:2'), and a space put before any other value that
+    starts like a signed element, which argparse then reads as a value and
+    the element grammar skips."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--window", "--m"):
+            out[-1] += "=" + tok
         else:
-            out.append(tok)
-            i += 1
+            out.append(" " + tok if _SIGNED_ELEMENT.match(tok) else tok)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_merge_range_flags(list(argv)))
+        args = parser.parse_args(_argparse_argv(argv))
     except SystemExit as err:
         return int(err.code or 0) and EXIT_PARSE
+    for name in ("expr", "lhs", "rhs"):
+        text = getattr(args, name, None)
+        if text is not None and text not in argv:
+            # drop the space _argparse_argv put before a signed element, so
+            # parse errors count positions in the text as given
+            setattr(args, name, text[1:])
 
     try:
         if args.command == "normalize":

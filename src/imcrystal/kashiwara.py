@@ -17,7 +17,10 @@ side and the gbar expansion on the phi side is forced by well-definedness:
 only these choices are compatible with the Serre relations.  Every
 recursion path is cut by the Kronecker delta, so evaluation is exactly
 finite: psi(p) kills a monomial once p < -max(indices), phi(p) once
-p > -min(indices).
+p > -min(indices).  The recursion is the definition; it is evaluated
+bottom-up through `qalgebra.memo`, which computes the components on the
+rest of a monomial first, so a word of any length takes no Python frame
+per factor.
 
 A closed summation formula for the psi family over deletion slots and
 compositions is kept as an independent cross-check oracle, and a checker
@@ -27,7 +30,6 @@ psi operators and left multiplication, with gamma kept formal.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 from typing import Iterator
@@ -41,6 +43,7 @@ from .qalgebra import (
     enumerate_all,
     format_element,
     format_monomial,
+    memo,
     normalize_word,
 )
 
@@ -48,10 +51,11 @@ PSI = "psi"
 PHI = "phi"
 
 
+_SIGN = {PSI: 1, PHI: -1}
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}
 
 
-@lru_cache(maxsize=None)
+@memo({})
 def _kernel(sign: int, r: int) -> Coeff:
     """g_coeff(r) gamma^r for sign 1, g_coeff_bar(r) gamma^r for sign -1:
     q^(2 sign) for r = 0, else q^(sign(2r+2)) - q^(sign(2r-2)) times gamma^r."""
@@ -62,35 +66,35 @@ def _kernel(sign: int, r: int) -> Coeff:
     )
 
 
-def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
-    """Apply one annihilation-operator component to a normal monomial."""
-    key = (kind, p, mono)
-    hit = _OMEGA_CACHE.get(key)
-    if hit is not None:
-        return hit
+@memo(_OMEGA_CACHE)
+def omega_mono(kind: str, p: int, mono: Monomial) -> Element | list:
+    """Apply one annihilation-operator component to a normal monomial.
+
+    The body returns the keys of the components on the rest of the monomial
+    that it still needs, and `memo` computes those first; callers always
+    get the element."""
+    if not mono:
+        return Element.zero()
+    sign = _SIGN.get(kind)
+    if sign is None:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    m, rest = mono[0], mono[1:]
+    # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
+    rmax = sign * p + (max(rest) if sign > 0 else -min(rest)) if rest else -1
+    subs = [(kind, p - sign * r, rest) for r in range(rmax + 1)]
+    missing = [key for key in subs if key not in _OMEGA_CACHE]
+    if missing:
+        return missing
     pieces: list[tuple[Element, Coeff]] = []
-    if mono:
-        if kind == PSI:
-            sign = 1
-        elif kind == PHI:
-            sign = -1
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        m, rest = mono[0], mono[1:]
-        if p == -m:
-            pieces.append((normalize_word(rest), Coeff.gamma_power(2 * sign * p)))
-        # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
-        rmax = sign * p + max(sign * n for n in rest) if rest else -1
-        for r in range(rmax + 1):
-            sub = omega_mono(kind, p - sign * r, rest)
-            if sub:
-                c = _kernel(sign, r)
-                pieces.extend(
-                    (normalize_word((m + sign * r,) + w), d * c) for w, d in sub._terms.items()
-                )
-    out = _linear_sum(pieces)
-    _OMEGA_CACHE[key] = out
-    return out
+    if p == -m:
+        pieces.append((normalize_word(rest), Coeff.gamma_power(2 * sign * p)))
+    for r, key in enumerate(subs):
+        c = _kernel(sign, r)
+        pieces.extend(
+            (normalize_word((m + sign * r,) + w), d * c)
+            for w, d in _OMEGA_CACHE[key]._terms.items()
+        )
+    return _linear_sum(pieces)
 
 
 def omega_apply(kind: str, p: int, e: Element) -> Element:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
-from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial
+from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial, memo
 from .kashiwara import PSI, omega_apply
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
@@ -35,12 +35,9 @@ def _pair_word(ma: Monomial, b: Element) -> Coeff:
     return b.coefficient(())
 
 
+@memo(_PAIR_CACHE)
 def _pair_monos(ma: Monomial, mb: Monomial) -> Coeff:
-    key = (ma, mb)
-    hit = _PAIR_CACHE.get(key)
-    if hit is None:
-        _PAIR_CACHE[key] = hit = _pair_word(ma, Element({mb: Coeff.one()}))
-    return hit
+    return _pair_word(ma, Element({mb: Coeff.one()}))
 
 
 def pair(a: Element, b: Element) -> Coeff:

@@ -11,6 +11,12 @@ applied to adjacent ascents.  Rewriting terminates: within a fixed weight
 each step strictly decreases (sum of squared indices, inversion count)
 lexicographically, and the system is confluent, so the normal form does not
 depend on the rewrite strategy.
+
+The normal form of a word is defined recursively, as the sum of the normal
+forms of its rewrite pieces.  Every memoised recursion of the package is
+evaluated bottom-up through `memo`: a body returns the keys it still needs,
+and `memo` computes them first on an explicit stack, so a long word never
+runs one Python frame per factor or per rewrite step.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .qcoeff import Coeff, QRat, format_coeff
 
@@ -49,6 +56,39 @@ def monomial_weight(mono: Monomial) -> Weight:
 def format_monomial(mono: Monomial) -> str:
     """Text of a monomial as a product x[i]x[j]...; the empty one is "1"."""
     return "".join(f"x[{i}]" for i in mono) or "1"
+
+
+def memo(table: dict) -> Callable[[Callable], Callable]:
+    """Memoise a function in `table`, keyed by the tuple of its positional
+    arguments; no other code writes a memo table.
+
+    The function may instead return a nonempty list of the argument tuples
+    it still needs from the same table (so no memoised value is a list; the
+    needs must not form a cycle).  Those are computed first, on an explicit
+    stack, and then the function is called again, so a chain of
+    dependencies as long as a word never runs on Python's stack.
+    """
+
+    def wrap(fn: Callable) -> Callable:
+        @wraps(fn)
+        def cached(*key):
+            hit = table.get(key)
+            if hit is not None:
+                return hit
+            stack = [key]
+            while stack:
+                k = stack.pop()
+                if k not in table:
+                    out = fn(*k)
+                    if isinstance(out, list):
+                        stack += [k, *out]
+                    else:
+                        table[k] = out
+            return table[key]
+
+        return cached
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +165,8 @@ class Element:
     def __add__(self, other: Element) -> Element:
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m, Coeff.zero()) + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Element(out)
+            out[m] = out[m] + c if m in out else c
+        return Element._of({m: c for m, c in out.items() if c})
 
     def __sub__(self, other: Element) -> Element:
         return self + (-other)
@@ -197,7 +233,7 @@ def _linear_sum(pieces: Iterable[tuple[Element, Coeff | None]]) -> Element:
 # rewriting
 
 _Q2 = Coeff.q_power(4)
-_CACHE: dict[tuple[str, Monomial], Element] = {}
+_CACHE: dict[tuple[Monomial, str], Element] = {}
 
 
 def find_ascent(word: Monomial, strategy: str = "leftmost") -> int | None:
@@ -235,31 +271,20 @@ def termination_measure(word: Monomial) -> tuple[int, int]:
 
 def normalize_word(word: Sequence[int], strategy: str = "leftmost") -> Element:
     """Rewrite a word into a combination of normal monomials."""
-    word = tuple(word)
-    key = (strategy, word)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        k = (strategy, w)
-        if k in _CACHE:
-            stack.pop()
-            continue
-        i = find_ascent(w, strategy)
-        if i is None:
-            _CACHE[k] = Element({w: Coeff.one()})
-            stack.pop()
-            continue
-        pieces = rewrite_once(w, i)
-        missing = [pw for _, pw in pieces if (strategy, pw) not in _CACHE]
-        if missing:
-            stack.extend(missing)
-            continue
-        _CACHE[k] = _linear_sum((_CACHE[(strategy, pw)], c) for c, pw in pieces)
-        stack.pop()
-    return _CACHE[key]
+    return _normal(tuple(word), strategy)
+
+
+@memo(_CACHE)
+def _normal(word: Monomial, strategy: str) -> Element | list:
+    """Normal form of a word, or the rewrite pieces it still needs."""
+    i = find_ascent(word, strategy)
+    if i is None:
+        return Element({word: Coeff.one()})
+    pieces = rewrite_once(word, i)
+    missing = [(w, strategy) for _, w in pieces if (w, strategy) not in _CACHE]
+    if missing:
+        return missing
+    return _linear_sum((_CACHE[(w, strategy)], c) for c, w in pieces)
 
 
 def normalize(word: Sequence[int], coeff: Coeff | None = None) -> Element:
@@ -311,12 +336,20 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"(\d+)|([qgx])|([-+*/^()\[\]])|(\S)")
 
 
+# parentheses nest at most this deep, as the parser recurses once per level
+MAX_NESTING = 100
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
+    depth = 0
     for match in _TOKEN.finditer(text):
         integer, name, op, other = match.groups()
         if other:
             raise ParseError(f"unknown symbol {other!r}", match.start())
+        depth += (op == "(") - (op == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", match.start())
         tokens.append(("INT" if integer else "NAME" if name else op, match[0], match.start()))
     tokens.append(("END", "", len(text)))
     return tokens

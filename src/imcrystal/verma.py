@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .check import Check
 from .qcoeff import Coeff
-from .qalgebra import Element, Monomial, _linear_sum, format_element, normalize_word
+from .qalgebra import Element, Monomial, _linear_sum, format_element, memo, normalize_word
 from .kashiwara import PSI, _compositions, omega_apply
 
 
@@ -167,7 +166,7 @@ def _extend(v: VermaVector, image: Callable[[Monomial, HighestWeight], Element])
     })
 
 
-@lru_cache(maxsize=None)
+@memo({})
 def _h_scalar(k: int) -> Coeff:
     """-[2k]/k, the weight of each index shift in h[k]."""
     return Coeff.quantum(2 * k) * Fraction(-1, k)
@@ -176,20 +175,15 @@ def _h_scalar(k: int) -> Coeff:
 _H_CACHE: dict[tuple[int, Monomial], Element] = {}
 
 
+@memo(_H_CACHE)
 def _h_mono(k: int, mono: Monomial) -> Element:
     """h[k] on a monomial vector, scalar included; it does not depend on the
     weight, so the memo key leaves the weight out."""
-    key = (k, mono)
-    hit = _H_CACHE.get(key)
-    if hit is not None:
-        return hit
     c = _h_scalar(k)
-    out = _linear_sum(
+    return _linear_sum(
         (normalize_word(mono[:pos] + (mono[pos] + k,) + mono[pos + 1 :]), c)
         for pos in range(len(mono))
     )
-    _H_CACHE[key] = out
-    return out
 
 
 def act_h(k: int, v: VermaVector) -> VermaVector:
@@ -200,14 +194,14 @@ def act_h(k: int, v: VermaVector) -> VermaVector:
     return _extend(v, lambda mono, lam: _h_mono(k, mono))
 
 
-def _k_eigen_halfexp(lam: HighestWeight, length: int) -> int:
+def _k_eigen_halfexp(h: int, length: int) -> int:
     # K eigenvalue on a length-k monomial vector is q^(h - 2k)
-    return 2 * (lam.h - 2 * length)
+    return 2 * (h - 2 * length)
 
 
 def act_K(v: VermaVector, power: int = 1) -> VermaVector:
     return _extend(v, lambda mono, lam: Element._of(
-        {mono: Coeff.q_power(power * _k_eigen_halfexp(lam, len(mono)))}
+        {mono: Coeff.q_power(power * _k_eigen_halfexp(lam.h, len(mono)))}
     ))
 
 
@@ -229,8 +223,11 @@ _HEAD = {s: -(Coeff.q_power(2 * s) + Coeff.q_power(6 * s)) for s in (1, -1)}
 _STEP = {s: Coeff.one() - Coeff.q_power(8 * s) for s in (1, -1)}
 
 
-def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
-    """(psi(p) - phi(p)) / (q - q^-1) applied to a monomial vector.
+@memo(_DIFF_CACHE)
+def _psi_phi_diff(p: int, mono: Monomial, h: int) -> Element:
+    """(psi(p) - phi(p)) / (q - q^-1) applied to a monomial vector of a
+    module of highest weight h (the only part of the weight it reads, so the
+    memo key holds h alone).
 
     The h[k] act as derivations.  So for p > 0, psi(p) is K times a sum over
     the compositions of p into one part r per factor: each factor's index
@@ -248,56 +245,45 @@ def _psi_phi_diff(p: int, mono: Monomial, lam: HighestWeight) -> Element:
 
     So the weight is -q^(s(h-2m) - 2p) (q^s + q^(3s)) (1 - q^(4s))^(j-1).
     """
-    key = (p, mono, lam.h)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
     if p == 0:
         # (K - K^-1)/(q - q^-1) acts by the quantum integer of the weight
-        out = Element({mono: Coeff.quantum(lam.h - 2 * len(mono))})
-    else:
-        s = 1 if p > 0 else -1
-        weights = [Coeff.q_power(s * _k_eigen_halfexp(lam, len(mono)) - 4 * p) * _HEAD[s]]
-        for _ in range(1, min(abs(p), len(mono))):
-            weights.append(weights[-1] * _STEP[s])
-        out = _linear_sum(
-            (normalize_word(tuple(n + s * r for n, r in zip(mono, rs))),
-             weights[len(rs) - rs.count(0) - 1])
-            for rs in _compositions(abs(p), len(mono))
-        )
-    _DIFF_CACHE[key] = out
-    return out
+        return Element({mono: Coeff.quantum(h - 2 * len(mono))})
+    s = 1 if p > 0 else -1
+    weights = [Coeff.q_power(s * _k_eigen_halfexp(h, len(mono)) - 4 * p) * _HEAD[s]]
+    for _ in range(1, min(abs(p), len(mono))):
+        weights.append(weights[-1] * _STEP[s])
+    return _linear_sum(
+        (normalize_word(tuple(n + s * r for n, r in zip(mono, rs))),
+         weights[len(rs) - rs.count(0) - 1])
+        for rs in _compositions(abs(p), len(mono))
+    )
 
 
 def current_commutator(p: int, v: VermaVector) -> VermaVector:
     """(psi(p) - phi(p)) / (q - q^-1) acting on a vector.  This is the value
     of the commutator of a raising and a lowering generator whose indices
     sum to p, and the insertion step of the raising action."""
-    return _extend(v, lambda mono, lam: _psi_phi_diff(p, mono, lam))
+    return _extend(v, lambda mono, lam: _psi_phi_diff(p, mono, lam.h))
 
 
 _XPLUS_CACHE: dict[tuple[int, Monomial, int], Element] = {}
 
 
-def _xplus_mono(k: int, mono: Monomial, lam: HighestWeight) -> Element:
-    """x+[k] on a monomial vector: over the slots j, the prefix before j
-    times the insertion (psi - phi)(k + n_j) / (q - q^-1) on the suffix
-    after j, which is what x+[k] leaves when it commutes past x[n_j]."""
-    key = (k, mono, lam.h)
-    hit = _XPLUS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _linear_sum(
+@memo(_XPLUS_CACHE)
+def _xplus_mono(k: int, mono: Monomial, h: int) -> Element:
+    """x+[k] on a monomial vector of highest weight h: over the slots j, the
+    prefix before j times the insertion (psi - phi)(k + n_j) / (q - q^-1) on
+    the suffix after j, which is what x+[k] leaves when it commutes past
+    x[n_j]."""
+    return _linear_sum(
         (normalize_word(mono[:j] + w), c)
         for j, n in enumerate(mono)
-        for w, c in _psi_phi_diff(k + n, mono[j + 1 :], lam)._terms.items()
+        for w, c in _psi_phi_diff(k + n, mono[j + 1 :], h)._terms.items()
     )
-    _XPLUS_CACHE[key] = out
-    return out
 
 
 def act_xplus(k: int, v: VermaVector) -> VermaVector:
-    return _extend(v, lambda mono, lam: _xplus_mono(k, mono, lam))
+    return _extend(v, lambda mono, lam: _xplus_mono(k, mono, lam.h))
 
 
 # every module generator by its command-line name, as a function of the

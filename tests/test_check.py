@@ -1,5 +1,6 @@
 """The check runner, the rule that only `check.py` keeps a check's books,
-and the rule that `src/` holds no name that only tests use."""
+the rule that `src/` holds no name that only tests use, and the rule that
+no function but `qalgebra.memo` writes a memo table."""
 
 import ast
 from pathlib import Path
@@ -158,3 +159,93 @@ def test_the_guard_sees_each_kind_of_name():
                        "def g(): return _Z\n"),
     }
     assert _unused(modules, {"W"}) == ["a.Y", "b.g"]
+
+
+# the dict methods that change a dict in place
+_DICT_WRITES = ("__setitem__", "__delitem__", "clear", "pop", "popitem", "setdefault", "update")
+
+
+def _module_dicts(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level to a new dict."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, (ast.Dict, ast.DictComp))
+            or isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "dict"
+        ):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _memo_writes(tree: ast.Module) -> list[str]:
+    """Each place in a function body that writes into a module-level dict
+    by its name: an item assignment or deletion, or a dict method that
+    changes it."""
+    dicts = _module_dicts(tree)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Subscript)
+                and not isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) in dicts
+            ):
+                found.add((node.lineno, f"writes {node.value.id}[...]"))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_WRITES
+                and getattr(node.func.value, "id", None) in dicts
+            ):
+                found.add((node.lineno, f"calls {node.func.value.id}.{node.func.attr}"))
+    return [f"line {n}: {what}" for n, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_memo_writes_a_memo(path):
+    # every memo goes through qalgebra.memo, which writes only the table it
+    # is given; so no function writes a module-level dict by its name
+    tree = ast.parse((SRC / path).read_text(), path)
+    assert _memo_writes(tree) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in SRC.glob("*.py") if p.stem not in ("qcoeff", "cli"))
+)
+def test_no_functools_memo_above_qcoeff(path):
+    # qcoeff sits below qalgebra, and its lru_caches back public constructors;
+    # cli keeps its per-call cached closures and its one parser
+    tree = ast.parse((SRC / path).read_text(), path)
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    assert not imported & {"cache", "lru_cache"}
+
+
+def test_the_guard_sees_each_memo_write():
+    tree = ast.parse(
+        "A = {}\n"
+        "B: dict[int, int] = dict()\n"
+        "C = {k: k for k in ()}\n"
+        "A[0] = 1\n"
+        "def f(table, key):\n"
+        "    table[key] = A.get(key)\n"
+        "    A[key] = B[key] = 1\n"
+        "    del C[key]\n"
+        "    g = lambda: B.setdefault(key, 0)\n"
+        "    def h():\n"
+        "        A.update({})\n"
+    )
+    assert _memo_writes(tree) == [
+        "line 7: writes A[...]",
+        "line 7: writes B[...]",
+        "line 8: writes C[...]",
+        "line 9: calls B.setdefault",
+        "line 11: calls A.update",
+    ]

@@ -16,7 +16,7 @@ from imcrystal.cli import (
     main,
     run_suite,
 )
-from imcrystal.qalgebra import Element, parse_element
+from imcrystal.qalgebra import MAX_NESTING, Element, parse_element
 
 
 def run(*argv):
@@ -171,6 +171,65 @@ class TestAct:
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+class TestSignedElement:
+    # an element that starts with '-' is a value, not an option; each
+    # output is the one the same element gave after '--' before this was so
+    @pytest.mark.parametrize("argv,expected", [
+        (("normalize", "-x[0]"), "-x[0]"),
+        (("normalize", "-3*x[0]"), "-3*x[0]"),
+        (("normalize", "-(x[0])"), "-x[0]"),
+        (("normalize", "-[2]*x[0]"), "(-q^-1-q)*x[0]"),
+        (("normalize", "-g*x[0]"), "-g*x[0]"),
+        (("omega", "-p", "1", "-x[1]x[0]"), "-(-1+q^4)*g*x[2]"),
+        (("omega", "-p", "-2", "--kind", "phi", "-x[2]"), "-g^2"),
+        (("pair", "-x[0]", "x[0]"), "-1 (= -1 mod q^2)"),
+        (("pair", "x[0]", "-x[0]"), "-1 (= -1 mod q^2)"),
+        (("act", "--gen", "x+", "-k", "-1", "--h", "1", "-x[1]x[0]"), "[0] x[0] @ (h=1,d=0)"),
+        (("act", "--gen", "x-", "-k", "-1", "--h", "-1", "-x[0]"),
+         "[0] -q^2*x[0]x[-1] @ (h=-1,d=0)"),
+    ])
+    def test_read_as_a_value(self, argv, expected):
+        assert run(*argv) == (EXIT_PASS, expected, "")
+        code, out, _ = run(*argv, "--format", "json")
+        assert code == EXIT_PASS and expected in json.loads(out).values()
+
+    def test_same_as_after_a_separator(self):
+        assert run("normalize", "-[2]*x[0]") == run("normalize", "--", "-[2]*x[0]")
+        assert run("pair", "-x[0]", "-x[1]x[0]") == run("pair", "--", "-x[0]", "-x[1]x[0]")
+
+    def test_negative_numbers_are_left_to_argparse(self):
+        # argparse reads -2 and -1.5 as values already; they reach the
+        # grammar unchanged
+        assert run("normalize", "-2") == (EXIT_PASS, "-2", "")
+        assert run("normalize", "-1.5")[2] == "parse error: unknown symbol '.' (at position 2)"
+
+    def test_weight_list_that_starts_with_a_minus(self):
+        # '-1,2' starts like a signed element too, so it is read as a value
+        code, out, _ = run("verify", "module", "--h", "-1,2", "--max-length", "1",
+                           "--window", "0:0", "--m", "-1:1", "--format", "json")
+        assert code == EXIT_PASS and json.loads(out)["reports"][0]["bounds"]["weights"] == [-1, 2]
+
+    def test_parse_error_positions_count_the_given_text(self):
+        assert run("normalize", "-x[0") == (
+            EXIT_PARSE, "", "parse error: expected ']', found '' (at position 4)")
+        # a space the user gave is counted, as before
+        assert run("normalize", " x[0")[2] == "parse error: expected ']', found '' (at position 4)"
+
+
+class TestNesting:
+    def test_at_the_bound(self):
+        text = "(" * MAX_NESTING + "x[0]" + ")" * MAX_NESTING
+        assert run("normalize", text) == (EXIT_PASS, "x[0]", "")
+
+    def test_one_level_past_the_bound(self):
+        depth = MAX_NESTING + 1
+        code, out, err = run("normalize", "(" * depth + "x[0]" + ")" * depth)
+        assert (code, out) == (EXIT_PARSE, "")
+        # the position is that of the parenthesis one level past the bound
+        assert err == (f"parse error: parentheses nested deeper than {MAX_NESTING}"
+                       f" (at position {MAX_NESTING})")
 
 
 class TestVerify:

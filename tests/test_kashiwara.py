@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from imcrystal.qcoeff import Coeff, g_coeff, g_coeff_bar
+from imcrystal import kashiwara
 from imcrystal.qalgebra import Element, Weight, enumerate_all
 from imcrystal.kashiwara import (
     PHI,
@@ -92,6 +93,24 @@ class TestClosedFormula:
         finally:
             sys.setrecursionlimit(limit)
         assert comps == [tuple(int(i == j) for i in range(500)) for j in reversed(range(500))]
+
+    def test_long_word_does_not_recurse(self, cold):
+        # cold chains of 319 factors, with the stack bounded well below one
+        # frame per factor
+        cold(kashiwara._OMEGA_CACHE)
+        n = 320
+        mono = (1,) + (0,) * (n - 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            psi, phi = omega_mono(PSI, 0, mono), omega_mono(PHI, 0, mono)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert psi == omega_psi_closed(0, mono)
+        # phi(0) x[0]^k = (1 + q^-2 + ... + q^(-2(k-1))) x[0]^(k-1), and x[1]
+        # in front contributes q^-2
+        runs = sum((Coeff.q_power(-4 * j) for j in range(n - 1)), Coeff.zero())
+        assert phi == Element({mono[:-1]: Coeff.q_power(-4) * runs})
 
 
 class TestSupport:

@@ -131,8 +131,8 @@ class TestGram:
 
 
 class TestChain:
-    def test_matches_recursive_evaluation(self, monkeypatch):
-        monkeypatch.setattr(pairing, "_PAIR_CACHE", {})
+    def test_matches_recursive_evaluation(self, cold):
+        cold(pairing._PAIR_CACHE)
         memo = {}
         monos = enumerate_all(3, (-2, 2))
         for ma in monos:
@@ -155,15 +155,16 @@ class TestChain:
             assert pair(lhs, rhs) == pair_double_loop(lhs, rhs)
             assert pair(rhs, lhs) == pair_double_loop(rhs, lhs)
 
-    def test_no_self_call(self, monkeypatch):
+    def test_no_self_call(self, monkeypatch, cold):
         chain = pairing._pair_monos
 
         def refuse(*args):
             raise AssertionError("_pair_monos called itself")
 
-        monkeypatch.setattr(pairing, "_PAIR_CACHE", {})
+        cold(pairing._PAIR_CACHE)
         monkeypatch.setattr(pairing, "_pair_monos", refuse)
         assert chain((1, 1), (1, 1)) == ONE + Q2
+        assert pairing._PAIR_CACHE == {((1, 1), (1, 1)): ONE + Q2}
 
 
 class TestProperties:

@@ -334,7 +334,7 @@ def test_built_elements_store_no_zero(a, b, c):
 def test_cached_results_are_not_mutated():
     word = (0, 2, -1)
     cached = normalize_word(word)
-    xplus = _xplus_mono(1, (1, 0, -1), HighestWeight(2))
+    xplus = _xplus_mono(1, (1, 0, -1), HighestWeight(2).h)
     before = [(e, dict(e._terms)) for e in (cached, xplus)]
     for e, _ in before:
         # accumulations that start from, grow and cancel the cached terms
@@ -342,6 +342,6 @@ def test_cached_results_are_not_mutated():
         _linear_sum([(e, None), (e, -Coeff.one())])
         e * e
     assert normalize_word(word) is cached
-    assert _xplus_mono(1, (1, 0, -1), HighestWeight(2)) is xplus
+    assert _xplus_mono(1, (1, 0, -1), HighestWeight(2).h) is xplus
     for e, terms in before:
         assert e._terms == terms

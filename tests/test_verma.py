@@ -145,7 +145,7 @@ def xplus_recursive(k, mono, lam):
     if not mono:
         return Element.zero()
     head, rest = mono[0], mono[1:]
-    pieces = [(_psi_phi_diff(k + head, rest, lam), None)]
+    pieces = [(_psi_phi_diff(k + head, rest, lam.h), None)]
     pieces.extend(
         (normalize_word((head,) + m), c)
         for m, c in xplus_recursive(k, rest, lam)._terms.items()
@@ -281,7 +281,7 @@ class TestCartanCurrents:
                 v = M.inject(0, Element.monomial(mono))
                 for p in range(-5, 6):
                     expected = diff_oracle(p, v)
-                    assert _psi_phi_diff(p, mono, lam) == expected.element(0), (h, mono, p)
+                    assert _psi_phi_diff(p, mono, lam.h) == expected.element(0), (h, mono, p)
                     assert current_commutator(p, v) == expected, (h, mono, p)
 
     def test_closed_weight_matches_kernel_product(self):
@@ -291,7 +291,7 @@ class TestCartanCurrents:
         for h in (1, -2):
             lam = HighestWeight(h, 0)
             for mono, p in cases:
-                assert _psi_phi_diff(p, mono, lam) == diff_kernel_product(p, mono, lam), (h, mono, p)
+                assert _psi_phi_diff(p, mono, lam.h) == diff_kernel_product(p, mono, lam), (h, mono, p)
 
 
 class TestRaising:
@@ -317,7 +317,7 @@ class TestRaising:
             lam = HighestWeight(h, 0)
             for mono in enumerate_all(3, (-2, 2)):
                 for k in range(-4, 5):
-                    assert _xplus_mono(k, mono, lam) == xplus_recursive(k, mono, lam), (h, mono, k)
+                    assert _xplus_mono(k, mono, lam.h) == xplus_recursive(k, mono, lam), (h, mono, k)
 
     def test_sl2_string(self):
         # x+[0] x[0]^n v = [n][h - n + 1] x[0]^(n-1) v
