@@ -10,6 +10,8 @@ byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import re
@@ -724,7 +726,8 @@ def _argparse_argv(argv: list[str]) -> list[str]:
     their flags, so '-2:2' is not mistaken for an option (the documented
     syntax is '--window -2:2'), and a space put before any other value that
     starts like a signed element, which argparse then reads as a value and
-    the element grammar skips."""
+    the element grammar skips.  main shows such a value in an error message
+    without the space."""
     out: list[str] = []
     for tok in argv:
         if out and out[-1] in ("--window", "--m"):
@@ -737,10 +740,18 @@ def _argparse_argv(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    err = io.StringIO()
     try:
-        args = parser.parse_args(_argparse_argv(argv))
-    except SystemExit as err:
-        return int(err.code or 0) and EXIT_PARSE
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(_argparse_argv(argv))
+    except SystemExit as stop:
+        # argparse shows a value as it saw it, padded; show it as given
+        text = err.getvalue()
+        for tok in dict.fromkeys(argv):
+            if _SIGNED_ELEMENT.match(tok):
+                text = text.replace(" " + tok, tok)
+        sys.stderr.write(text)
+        return int(stop.code or 0) and EXIT_PARSE
     for name in ("expr", "lhs", "rhs"):
         text = getattr(args, name, None)
         if text is not None and text not in argv:

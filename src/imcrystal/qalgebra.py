@@ -13,10 +13,18 @@ lexicographically, and the system is confluent, so the normal form does not
 depend on the rewrite strategy.
 
 The normal form of a word is defined recursively, as the sum of the normal
-forms of its rewrite pieces.  Every memoised recursion of the package is
-evaluated bottom-up through `memo`: a body returns the keys it still needs,
-and `memo` computes them first on an explicit stack, so a long word never
-runs one Python frame per factor or per rewrite step.
+forms of its rewrite pieces, and `normalize_word` still rewrites by a named
+strategy ("leftmost" or "rightmost") on request.  By default it evaluates
+the normal form by insertion into the normal tail: a word is a letter
+before its tail, the tail is normalised first, and the letter is inserted
+into each normal term, where only the ascent at position 0 is left to
+rewrite.  So the memo keeps the normal forms of (letter, normal word)
+pairs and of suffixes, not of every intermediate word of a rewrite.
+
+Every memoised recursion of the package is evaluated bottom-up through
+`memo`: a body returns the keys it still needs, and `memo` computes them
+first on an explicit stack, so a long word never runs one Python frame per
+factor or per rewrite step.
 """
 
 from __future__ import annotations
@@ -233,7 +241,7 @@ def _linear_sum(pieces: Iterable[tuple[Element, Coeff | None]]) -> Element:
 # rewriting
 
 _Q2 = Coeff.q_power(4)
-_CACHE: dict[tuple[Monomial, str], Element] = {}
+_CACHE: dict[tuple[Monomial, str | None], Element] = {}
 
 
 def find_ascent(word: Monomial, strategy: str = "leftmost") -> int | None:
@@ -269,18 +277,35 @@ def termination_measure(word: Monomial) -> tuple[int, int]:
     return (sum(i * i for i in word), sum(a < b for a, b in combinations(word, 2)))
 
 
-def normalize_word(word: Sequence[int], strategy: str = "leftmost") -> Element:
-    """Rewrite a word into a combination of normal monomials."""
+def normalize_word(word: Sequence[int], strategy: str | None = None) -> Element:
+    """Normal form of a word: by insertion into its normal tail, or by
+    rewriting with the given strategy, "leftmost" or "rightmost"."""
     return _normal(tuple(word), strategy)
 
 
 @memo(_CACHE)
-def _normal(word: Monomial, strategy: str) -> Element | list:
-    """Normal form of a word, or the rewrite pieces it still needs."""
-    i = find_ascent(word, strategy)
-    if i is None:
+def _normal(word: Monomial, strategy: str | None) -> Element | list:
+    """Normal form of a word, or the keys it still needs.
+
+    A strategy rewrites the ascent it picks.  Without one, the word is a
+    letter before its tail: a tail that is not normal is normalised first
+    and the letter inserted into each of its terms; a normal tail leaves
+    only the ascent at position 0 to rewrite."""
+    if strategy is not None:
+        i = find_ascent(word, strategy)
+        pieces = [] if i is None else rewrite_once(word, i)
+    else:
+        tail = word[1:]
+        form = _CACHE.get((tail, None))
+        if form is None and list(tail) != sorted(tail, reverse=True):
+            return [(tail, None)]
+        # a cached tail is normal exactly when it is a term of its own form
+        if form is not None and tail not in form._terms:
+            pieces = [(c, word[:1] + m) for m, c in form._terms.items()]
+        else:
+            pieces = rewrite_once(word, 0) if tail and word[0] < word[1] else []
+    if not pieces:
         return Element({word: Coeff.one()})
-    pieces = rewrite_once(word, i)
     missing = [(w, strategy) for _, w in pieces if (w, strategy) not in _CACHE]
     if missing:
         return missing

@@ -211,6 +211,18 @@ class TestSignedElement:
                            "--window", "0:0", "--m", "-1:1", "--format", "json")
         assert code == EXIT_PASS and json.loads(out)["reports"][0]["bounds"]["weights"] == [-1, 2]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "confluence", "--h", "-1,x"),
+         "argument --h: expected comma-separated integers, got '-1,x'"),
+        (("omega", "-p", "-2x", "x[0]"), "argument -p: invalid int value: '-2x'"),
+        (("normalize", "--format", "-x[0]"), "argument --format: invalid choice: '-x[0]'"),
+        (("normalize", "x[0]", "-x[1]"), "error: unrecognized arguments: -x[1]"),
+    ])
+    def test_a_bad_value_is_shown_as_given(self, argv, message):
+        # without the space put before a signed element for argparse
+        code, out, err = run(*argv)
+        assert (code, out) == (EXIT_PARSE, "") and message in err
+
     def test_parse_error_positions_count_the_given_text(self):
         assert run("normalize", "-x[0") == (
             EXIT_PARSE, "", "parse error: expected ']', found '' (at position 4)")

@@ -78,6 +78,16 @@ class TestPairExamples:
         with pytest.raises(ValueError):
             pair(e, x(0))
 
+    def test_powers_closed_form(self):
+        # (x[a]^n, x[a]^n) = prod over k = 1..n of (1 - q^(2k)) / (1 - q^2),
+        # far past the lengths the Gram probes reach
+        for a in (-2, 0, 3):
+            expected = ONE
+            for n in range(1, 31):
+                expected = expected * ((ONE - Coeff.q_power(4 * n)) / (ONE - Q2))
+                power = x(*(a,) * n)
+                assert pair(power, power) == expected, (a, n)
+
 
 class TestGram:
     def test_singleton(self):

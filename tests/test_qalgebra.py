@@ -1,10 +1,13 @@
 """Normal ordering, weights, basis enumeration, and the element grammar."""
 
+import inspect
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from imcrystal import qalgebra
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import (
     Element,
@@ -56,6 +59,36 @@ class TestNormalize:
                 lhs = normalize_word((k + 1, l)) - normalize_word((l, k + 1)) * qm2
                 rhs = normalize_word((k, l + 1)) * qm2 - normalize_word((l + 1, k))
                 assert lhs == rhs, (k, l)
+
+
+class TestInsertion:
+    # the default order inserts each letter into the normal form of its
+    # tail; rewriting by either strategy stays the definition
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=7).map(tuple))
+    def test_agrees_with_rewriting(self, cold, word):
+        cold(qalgebra._CACHE)
+        e = normalize_word(word)
+        assert e == normalize_word(word, "leftmost") == normalize_word(word, "rightmost")
+
+    @pytest.mark.parametrize("word,normal,halfexp", [
+        # x[a]x[a+1]^k = q^(2k) x[a+1]^k x[a]
+        ((-1,) + (0,) * 300, (0,) * 300 + (-1,), 4 * 300),
+        # x[0]^k x[1] x[0]^k = q^(2k) x[1]x[0]^(2k)
+        ((0,) * 150 + (1,) + (0,) * 150, (1,) + (0,) * 300, 4 * 150),
+    ])
+    def test_long_word_does_not_recurse(self, cold, word, normal, halfexp):
+        # cold, with the stack bounded well below one frame per factor
+        cold(qalgebra._CACHE)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            e = normalize_word(word)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert e == Element({normal: Coeff.q_power(halfexp)})
 
 
 class TestTermination:
