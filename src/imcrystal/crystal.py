@@ -25,9 +25,10 @@ direct sum, its summands and the blocks of its split all read the same
 entries, and the stability, image and commutation checks read from them.
 
 All probed conditions quantify over infinite sets in general, so every
-report carries its bounds.  A lattice may carry per-monomial scale factors
-(coordinates divide by them); scaling one generator by a negative power of
-q is the documented corrupted fixture that stability must reject.
+result holds only within the bounds of its probe.  A lattice may carry
+per-monomial scale factors (coordinates divide by them); scaling one
+generator by a negative power of q is the documented corrupted fixture that
+stability must reject.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .verma import (
     act_D,
     act_K,
     act_xminus,
-    direct_sum,
     format_vector,
     tilde_omega,
 )
@@ -68,6 +68,8 @@ class CrystalClass:
     def describe(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
 
+    __str__ = describe
+
 
 @dataclass
 class LatticeDesc:
@@ -79,7 +81,7 @@ class LatticeDesc:
     scales: dict[ClassKey, Coeff] = field(default_factory=dict)
 
     def module(self) -> DirectSum:
-        return direct_sum(self.weights)
+        return DirectSum(self.weights)
 
     def scale(self, component: int, mono: Monomial) -> Coeff:
         return self.scales.get((component, mono), Coeff.one())
@@ -113,25 +115,22 @@ def _pole_text(key: ClassKey) -> str:
 
 
 class NotInLatticeError(ValueError):
-    def __init__(self, witness: ClassKey, coeff: Coeff):
+    def __init__(self, witness: ClassKey):
         super().__init__(f"not in the lattice: {_pole_text(witness)}")
         self.witness = witness
-        self.coeff = coeff
 
 
-def _reduce(
-    v: VermaVector, lat: LatticeDesc
-) -> tuple[list[tuple[ClassKey, Coeff]], dict[ClassKey, Fraction]]:
+def _reduce(v: VermaVector, lat: LatticeDesc) -> tuple[list[ClassKey], dict[ClassKey, Fraction]]:
     """One walk over the lattice coordinates of v (coefficients divided by
     the generator scales): the coordinates with a pole at 0, and the image
     of the others in L/qL as a rational combination of monomial classes."""
-    poles: list[tuple[ClassKey, Coeff]] = []
+    poles: list[ClassKey] = []
     out: dict[ClassKey, Fraction] = {}
     for i, e in v.components.items():
         for mono, c in e.items():
             c = c / lat.scale(i, mono)
             if not c.is_regular_at_zero():
-                poles.append(((i, mono), c))
+                poles.append((i, mono))
             elif r := c.constant_at_zero():
                 out[(i, mono)] = r
     return poles, out
@@ -142,28 +141,19 @@ def reduce_mod_q(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Fraction]:
     monomial classes; raises NotInLatticeError with a witness on poles."""
     poles, out = _reduce(v, lat)
     if poles:
-        raise NotInLatticeError(*poles[0])
+        raise NotInLatticeError(poles[0])
     return out
 
 
-@dataclass
-class ImageViolation:
-    operator: str
-    index: int
-    source: CrystalClass
-    reason: str
-
-    def describe(self) -> str:
-        return f"{self.operator}[{self.index}] on {self.source.describe()}: {self.reason}"
-
-
-TildeImage = CrystalClass | None | ImageViolation
+# a class in L/qL, None for zero, or the text of why the image is not a class
+TildeImage = CrystalClass | None | str
 # (operator, index, sign, monomial, scale key of the class's component) ->
-# (coordinates with a pole at 0, by monomial; the image in L/qL without its
-# component: None for zero, (sign, monomial), or why it is not a class)
+# (the monomials of the coordinates with a pole at 0; the image in L/qL
+# without its component: None for zero, (sign, monomial), or why it is not
+# a class)
 ImageTable = dict[
     tuple[str, int, int, Monomial, frozenset],
-    tuple[list[tuple[Monomial, Coeff]], tuple[int, Monomial] | str | None],
+    tuple[list[Monomial], tuple[int, Monomial] | str | None],
 ]
 ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
 
@@ -187,7 +177,8 @@ def _image_reader(lat: LatticeDesc, table: ImageTable | None) -> ImageReader:
     "omega-psi") to the lift of b once and stores the component-free part;
     every read returns the stability witnesses (one per lattice coordinate
     with a pole at 0) and the class of the image in L/qL (a signed class,
-    None for zero, or the violation found), named with b's own component."""
+    None for zero, or the text of the violation found), named with b's own
+    component."""
     table = {} if table is None else table
     scale_keys = [lat.scale_key(i) for i in range(len(lat.weights))]
 
@@ -197,20 +188,16 @@ def _image_reader(lat: LatticeDesc, table: ImageTable | None) -> ImageReader:
             apply = act_xminus if op == "xminus" else tilde_omega
             poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
             entry = table[key] = (
-                [(mono, c) for (_, mono), c in poles],
+                [mono for _, mono in poles],
                 None if poles else _signed_monomial(reduced),
             )
         poles, img = entry
         comp = b.component
-        witnesses = [
-            f"{op}[{m}] on {b.describe()}: {_pole_text((comp, mono))}" for mono, _ in poles
-        ]
-        if poles:
-            mono, c = poles[0]
-            return witnesses, ImageViolation(op, m, b, str(NotInLatticeError((comp, mono), c)))
-        if isinstance(img, str):
-            return witnesses, ImageViolation(op, m, b, img)
-        return witnesses, None if img is None else CrystalClass(*img, comp)
+        if not (poles or isinstance(img, str)):
+            return [], None if img is None else CrystalClass(*img, comp)
+        source = f"{op}[{m}] on {b}"
+        why = NotInLatticeError((comp, poles[0])) if poles else img
+        return [f"{source}: {_pole_text((comp, mono))}" for mono in poles], f"{source}: {why}"
 
     return image
 
@@ -227,26 +214,12 @@ def crystal_image_x(
 # axiom verification
 
 
-@dataclass
-class CrystalReport:
-    bounds: dict
-    results: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> Check:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 def verify_crystal_axioms(
     lat: LatticeDesc, m_range: tuple[int, int], table: ImageTable | None = None
-) -> CrystalReport:
-    """Run the crystal-basis axiom checks over the lattice's finite probe.
+) -> list[Check]:
+    """Run the crystal-basis axiom checks over the lattice's finite probe:
+    lattice-stability, weight-grading, image-xminus, image-omega and
+    commutation, in that order.
 
     Every check reads the tilde images from `table`, which a caller may
     share between runs; without one the run keeps its own.  Its key is
@@ -265,7 +238,7 @@ def verify_crystal_axioms(
         if act_K(lift) != lift * Coeff.q_power(2 * (lam.h - 2 * len(b.mono))) or (
             act_D(lift) != lift * Coeff.q_power(2 * (lam.d + sum(b.mono)))
         ):
-            return f"{b.describe()} is not in a single weight space"
+            return f"{b} is not in a single weight space"
 
     def duplicated(keys: list[ClassKey]) -> str | None:
         # distinctness of class keys is structural; check for collisions anyway
@@ -274,20 +247,14 @@ def verify_crystal_axioms(
 
     def not_signed_class(case: tuple[str, int, CrystalClass]) -> str | None:
         img = image(*case)[1]
-        return img.describe() if isinstance(img, ImageViolation) else None
-
-    def describe(img: TildeImage) -> str:
-        return "None" if img is None else img.describe()
+        return img if isinstance(img, str) else None
 
     def noncommuting(case: tuple[int, CrystalClass, CrystalClass, CrystalClass]) -> str | None:
         # x[m] after omega(-m) against omega(-m) after x[m]
         m, b, omega_b, x_b = case
         left, right = image("xminus", m, omega_b)[1], image("omega-psi", -m, x_b)[1]
         if left != right:
-            return (
-                f"m={m}, b={b.describe()}: x-after-omega gives {describe(left)}, "
-                f"omega-after-x gives {describe(right)}"
-            )
+            return f"m={m}, b={b}: x-after-omega gives {left}, omega-after-x gives {right}"
 
     stability = Check("lattice-stability").run(
         ((op, m, b) for b in classes for m in ms for op in ops), lambda case: image(*case)[0]
@@ -305,14 +272,7 @@ def verify_crystal_axioms(
          and isinstance(x_b := image("xminus", m, b)[1], CrystalClass)),
         noncommuting,
     )
-
-    bounds = {
-        "weights": [[w.h, w.d] for w in lat.weights],
-        "max_length": lat.max_length,
-        "window": list(lat.window),
-        "m_range": [lo, hi],
-    }
-    return CrystalReport(bounds, [stability, grading, images_x, images_omega, commutation])
+    return [stability, grading, images_x, images_omega, commutation]
 
 
 def corrupted_lattice(lat: LatticeDesc) -> LatticeDesc:
@@ -327,24 +287,21 @@ def corrupted_lattice(lat: LatticeDesc) -> LatticeDesc:
 # splitting a crystal basis along a block decomposition
 
 
-@dataclass
-class SplitSpec:
-    """Candidate sublattices: generators of each part as vectors, part j
-    for component j."""
-
-    parts: tuple[list[VermaVector], ...]
+# candidate sublattices: the generators of each part as vectors, part j for
+# component j
+Split = tuple[list[VermaVector], ...]
 
 
-def canonical_split(lat: LatticeDesc) -> SplitSpec:
+def canonical_split(lat: LatticeDesc) -> Split:
     """The component split: part j is spanned by component-j generators."""
     module = lat.module()
-    parts: tuple[list[VermaVector], ...] = tuple([] for _ in lat.weights)
+    parts: Split = tuple([] for _ in lat.weights)
     for i, mono in lat.class_keys():
         parts[i].append(module.inject(i, Element({mono: lat.scale(i, mono)})))
-    return SplitSpec(parts)
+    return parts
 
 
-def diagonal_control_split(lat: LatticeDesc) -> SplitSpec:
+def diagonal_control_split(lat: LatticeDesc) -> Split:
     """Control fixture: a diagonal sublattice that mixes the components, so
     it is not contained in either summand."""
     if len(lat.weights) != 2:
@@ -355,23 +312,12 @@ def diagonal_control_split(lat: LatticeDesc) -> SplitSpec:
         e = Element({mono: Coeff.one()})
         diag.append(module.inject(0, e) + module.inject(1, e))
         anti.append((module.inject(0, e) - module.inject(1, e)) * Coeff.q_power(2))
-    return SplitSpec((diag, anti))
-
-
-@dataclass
-class SplitReport:
-    compatible: bool
-    witnesses: list[str]
-    part_reports: list[CrystalReport]
-
-    @property
-    def passed(self) -> bool:
-        return self.compatible and all(r.passed for r in self.part_reports)
+    return diag, anti
 
 
 def split_converse_check(
-    lat: LatticeDesc, split: SplitSpec, m_range: tuple[int, int], table: ImageTable | None = None
-) -> SplitReport:
+    lat: LatticeDesc, split: Split, m_range: tuple[int, int], table: ImageTable | None = None
+) -> tuple[list[str], list[list[Check]]]:
     """Verify that a split of the lattice and basis into one block per
     component restricts to a crystal basis on each block.
 
@@ -380,8 +326,9 @@ def split_converse_check(
     be a scaled monomial vector whose lattice coordinate is a unit at 0, and
     together the parts must cover every probe generator exactly once (this
     is the decomposition L = L_1 + ... + L_n and, with the unit condition,
-    L_j = L with M_j intersected).  Incompatible splits are reported with
-    the offending generator.  Then the axiom checker runs on each block.
+    L_j = L with M_j intersected).  Returns (witnesses, blocks): one witness
+    per offending generator, and, when there is none, the axiom results of
+    each block in turn; an incompatible split has no blocks.
 
     The blocks read their tilde images from `table` (a fresh one if none is
     given), keyed as in `verify_crystal_axioms`: block j keeps the scales
@@ -390,7 +337,7 @@ def split_converse_check(
     table = {} if table is None else table
     witnesses: list[str] = []
     cover: dict[ClassKey, int] = {}
-    for j, gens in enumerate(split.parts):
+    for j, gens in enumerate(split):
         for gen in gens:
             support = sorted(gen.components)
             if len(support) > 1:
@@ -433,16 +380,11 @@ def split_converse_check(
             witnesses.append(
                 f"lattice generator [{comp}]{format_monomial(mono)} not covered by the split"
             )
-
-    compatible = not witnesses
-    part_reports: list[CrystalReport] = []
-    if compatible:
-        for j in range(len(lat.weights)):
-            scales = {
-                (0, mono): c
-                for (i, mono), c in lat.scales.items()
-                if i == j
-            }
-            sub = LatticeDesc((lat.weights[j],), lat.max_length, lat.window, scales)
-            part_reports.append(verify_crystal_axioms(sub, m_range, table))
-    return SplitReport(compatible, witnesses, part_reports)
+    if witnesses:
+        return witnesses, []
+    blocks = [
+        LatticeDesc((w,), lat.max_length, lat.window,
+                    {(0, mono): c for (i, mono), c in lat.scales.items() if i == j})
+        for j, w in enumerate(lat.weights)
+    ]
+    return [], [verify_crystal_axioms(block, m_range, table) for block in blocks]

@@ -110,27 +110,16 @@ def orthonormality_report(g: GramMatrix) -> Check:
 # lattice membership probe
 
 
-@dataclass
-class MembershipReport:
-    passed: bool
-    witness: tuple[Monomial, Coeff] | None = None
-
-    def describe(self) -> str:
-        if self.passed:
-            return "all probed pairings regular at 0"
-        mono, c = self.witness
-        return f"pairing against {format_monomial(mono)} is {format_coeff(c)} (pole at 0)"
-
-
-def lattice_membership_probe(u: Element, window: tuple[int, int]) -> MembershipReport:
+def lattice_membership_probe(u: Element, window: tuple[int, int]) -> str | None:
     """Probe lattice membership of a homogeneous element: every pairing
     against a same-weight normal monomial in the window must be regular at
-    0.  A finite probe, not a decision procedure."""
+    0.  None when all are, else the text of the first pairing with a pole.
+    A finite probe, not a decision procedure."""
     if u.is_zero:
-        return MembershipReport(True)
+        return None
     w = u.weight()  # raises on inhomogeneous input
     for mono in enumerate_basis(w.length, window, w.degree):
         c = pair(u, Element({mono: Coeff.one()}))
         if not c.is_regular_at_zero():
-            return MembershipReport(False, (mono, c))
-    return MembershipReport(True)
+            return f"pairing against {format_monomial(mono)} is {format_coeff(c)} (pole at 0)"
+    return None

@@ -137,10 +137,6 @@ class DirectSum:
         return self.inject(i, Element.one())
 
 
-def direct_sum(weights: Iterable[HighestWeight]) -> DirectSum:
-    return DirectSum(weights)
-
-
 # ---------------------------------------------------------------------------
 # generator actions
 
@@ -357,29 +353,17 @@ def simplicity_probe(v: VermaVector) -> list[int] | None:
     return None
 
 
-@dataclass
-class ModuleMap:
-    """A linear map between module descriptors, checked for intertwining."""
-
-    name: str
-    fn: Callable[[VermaVector], VermaVector]
-
-    def __call__(self, v: VermaVector) -> VermaVector:
-        return self.fn(v)
+# a linear map between module descriptors, checked for intertwining: its
+# name and its function
+ModuleMap = tuple[str, Callable[[VermaVector], VermaVector]]
 
 
 def injection_map(desc: DirectSum, i: int) -> ModuleMap:
-    def fn(v: VermaVector) -> VermaVector:
-        return desc.inject(i, v.element(0))
-
-    return ModuleMap(f"inject[{i}]", fn)
+    return f"inject[{i}]", lambda v: desc.inject(i, v.element(0))
 
 
 def projection_map(desc: DirectSum, i: int) -> ModuleMap:
-    def fn(v: VermaVector) -> VermaVector:
-        return desc.project(i, v)
-
-    return ModuleMap(f"project[{i}]", fn)
+    return f"project[{i}]", lambda v: desc.project(i, v)
 
 
 def component_swap_map(desc: DirectSum) -> ModuleMap:
@@ -387,20 +371,16 @@ def component_swap_map(desc: DirectSum) -> ModuleMap:
     module map when the weights differ, so intertwining checks must fail."""
     if len(desc.weights) != 2:
         raise ValueError("swap control needs exactly two components")
-
-    def fn(v: VermaVector) -> VermaVector:
-        return VermaVector(
-            desc.weights, {1 - i: e for i, e in v.components.items()}
-        )
-
-    return ModuleMap("swap", fn)
+    return "swap", lambda v: VermaVector(desc.weights, {1 - i: e for i, e in v.components.items()})
 
 
 def verify_intertwining(
     nu: ModuleMap, samples: Iterable[VermaVector], m_range: tuple[int, int]
 ) -> Check:
-    """Check that nu commutes with the tilde operators and with the module
-    actions (K, D, h[k], x+[k]) on every sample."""
+    """Check that nu, a (name, function) pair, commutes with the tilde
+    operators and with the module actions (K, D, h[k], x+[k]) on every
+    sample."""
+    name, fn = nu
     lo, hi = m_range
     operators: list[tuple[str, Callable[[VermaVector], VermaVector]]] = []
     for m in range(lo, hi + 1):
@@ -413,10 +393,10 @@ def verify_intertwining(
     operators.append(("D", act_D))
 
     def noncommuting(case: tuple[VermaVector, str, Callable[[VermaVector], VermaVector]]):
-        sample, name, op = case
-        if nu(op(sample)) != op(nu(sample)):
-            return f"{name} does not commute with {nu.name} on {format_vector(sample)}"
+        sample, op_name, op = case
+        if fn(op(sample)) != op(fn(sample)):
+            return f"{op_name} does not commute with {name} on {format_vector(sample)}"
 
-    return Check(nu.name).run(
-        ((sample, name, op) for sample in samples for name, op in operators), noncommuting
+    return Check(name).run(
+        ((sample, op_name, op) for sample in samples for op_name, op in operators), noncommuting
     )

@@ -16,9 +16,9 @@ from imcrystal.qalgebra import Element, enumerate_all, normalize_word
 from imcrystal.kashiwara import RELATIONS, check_kashiwara_relation
 from imcrystal.pairing import pair
 from imcrystal.verma import (
+    DirectSum,
     HighestWeight,
     component_swap_map,
-    direct_sum,
     verify_intertwining,
 )
 from imcrystal.crystal import (
@@ -209,27 +209,43 @@ def test_criterion_7_crystal_axioms():
 
 def test_criterion_8_converse_splitting():
     lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(3, 0)), 3, (-2, 2))
-    good = split_converse_check(lat, canonical_split(lat), (-3, 3))
+    good_witnesses, good_blocks = split_converse_check(lat, canonical_split(lat), (-3, 3))
+    good = not good_witnesses and all(r.passed for block in good_blocks for r in block)
     lat_eq = LatticeDesc((HighestWeight(1, 0), HighestWeight(1, 0)), 1, (-2, 2))
-    control = split_converse_check(lat_eq, diagonal_control_split(lat_eq), (-3, 3))
+    witnesses, blocks = split_converse_check(lat_eq, diagonal_control_split(lat_eq), (-3, 3))
     _line(
         8,
-        good.passed and not control.compatible and bool(control.witnesses),
+        good and len(good_blocks) == 2 and bool(witnesses) and blocks == [],
         "canonical split passes; diagonal sublattice control rejected with "
         "witness",
     )
 
 
+def test_crystal_at_length_4():
+    # `verify crystal --max-length 4 --window -3:3 --m -4:4`: the axioms and
+    # the converse split at a larger bound than criteria 7 and 8
+    (report,) = run_suite("crystal", max_length=4, window=(-3, 3), m_range=(-4, 4))
+    assert [(r.name, r.passed, r.checked) for r in report.results] == [
+        ("axioms-h1", True, 12918),
+        ("axioms-h3", True, 12918),
+        ("axioms-direct-sum", True, 25835),
+        ("direct-sum-coherence", True, 1),
+        ("split-canonical", True, 1),
+        ("split-diagonal-control", True, 1),
+        ("signed-image-example", True, 1),
+    ]
+
+
 def test_criterion_9_negative_controls():
     # scaled lattice
     bad_lat = corrupted_lattice(LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1)))
-    crystal_rep = verify_crystal_axioms(bad_lat, (-2, 2))
-    lattice_ok = not crystal_rep.passed and bool(
-        crystal_rep.result("lattice-stability").witnesses
+    crystal_rep = {r.name: r for r in verify_crystal_axioms(bad_lat, (-2, 2))}
+    lattice_ok = not all(r.passed for r in crystal_rep.values()) and bool(
+        crystal_rep["lattice-stability"].witnesses
     )
 
     # swapped-component map
-    desc = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+    desc = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
     samples = [desc.inject(i, Element.monomial(m)) for m in enumerate_all(1, (-1, 1))
                for i in (0, 1)]
     swap_rep = verify_intertwining(component_swap_map(desc), samples, (-1, 1))

@@ -1,6 +1,7 @@
 """The check runner, the rule that only `check.py` keeps a check's books,
-the rule that `src/` holds no name that only tests use, and the rule that
-no function but `qalgebra.memo` writes a memo table."""
+the rule that `Check` is the one result record, the rule that `src/` holds
+no name that only tests use, and the rule that no function but
+`qalgebra.memo` writes a memo table."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,57 @@ def test_the_guard_sees_each_form_of_bookkeeping():
         "line 5: calls .witnesses.extend",
         "line 5: passes a count to Check(...)",
     ]
+
+
+def _records(tree: ast.AST) -> list[str]:
+    """Each class that defines `passed`: as a method, a property or a
+    field."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if "passed" in names:
+                found.append(node.name)
+                break
+    return found
+
+
+def test_one_result_record():
+    # every verifier returns Checks, lists of them or plain values; only the
+    # suite report, which holds Checks, has a verdict of its own
+    records = {
+        f"{p.stem}.{name}" for p in SRC.glob("*.py") for name in _records(ast.parse(p.read_text()))
+    }
+    assert sorted(records - {"check.Check", "cli.SuiteReport"}) == []
+
+
+def test_the_guard_sees_each_kind_of_record():
+    tree = ast.parse(
+        "class A:\n"
+        "    @property\n"
+        "    def passed(self): return True\n"
+        "class B:\n"
+        "    def passed(self): return True\n"
+        "class C:\n"
+        "    passed: bool\n"
+        "class D:\n"
+        "    passed = True\n"
+        "def f():\n"
+        "    class E:\n"
+        "        ok, passed = 1, 2\n"
+        "class F:\n"
+        "    def g(self): self.passed = 1\n"
+        "    failed: bool\n"
+    )
+    assert _records(tree) == ["A", "B", "C", "D", "E"]
 
 
 def _top_level(tree: ast.Module) -> Iterator[str]:
@@ -217,7 +269,7 @@ def test_only_memo_writes_a_memo(path):
 )
 def test_no_functools_memo_above_qcoeff(path):
     # qcoeff sits below qalgebra, and its lru_caches back public constructors;
-    # cli keeps its per-call cached closures and its one parser
+    # cli keeps its one parser
     tree = ast.parse((SRC / path).read_text(), path)
     imported = {
         alias.name

@@ -289,6 +289,19 @@ class TestVerify:
             "symmetry-random", "adjointness-random", "gram-orthonormality",
         }
 
+    @pytest.mark.parametrize(
+        "suite, window", [("form", "0:0"), ("form", "1:3"), ("form", "-3:-1"), ("all", "0:0")]
+    )
+    def test_membership_probe_at_a_window_without_minus_one_to_one(self, suite, window):
+        # the membership fixtures lie in [-1, 1], so the probe reads the hull
+        # of that and the window: q^-1 x[n] is still rejected when the window
+        # does not cover n
+        code, out, _ = run("verify", suite, "--window", window, "--format", "json")
+        assert code == EXIT_PASS
+        (form,) = (r for r in json.loads(out)["reports"] if r["suite"] == "form")
+        (probe,) = (r for r in form["results"] if r["name"] == "membership-probe")
+        assert (probe["status"], probe["checked"], probe["witnesses"]) == ("pass", 18, [])
+
     def test_usage_error_exit_2(self):
         code, _, _ = run("verify", "nonsense")
         assert code == EXIT_PARSE

@@ -47,6 +47,15 @@ def assemble_direct_sum_basis(weights, max_length, window):
     return lat, lat.classes()
 
 
+def by_name(results):
+    """The results of an axiom run, keyed by name."""
+    return {r.name: r for r in results}
+
+
+def passed(results):
+    return all(r.passed for r in results)
+
+
 def observed_signs(lat, m_range, table):
     """Every signed tilde image of the run that filled the table, as text."""
     image = crystal._image_reader(lat, table)
@@ -108,8 +117,8 @@ class TestAxioms:
         lat = LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1))
         table = {}
         rep = verify_crystal_axioms(lat, (-2, 2), table)
-        assert rep.passed
-        names = [r.name for r in rep.results]
+        assert passed(rep)
+        names = [r.name for r in rep]
         assert names == [
             "lattice-stability",
             "weight-grading",
@@ -117,19 +126,19 @@ class TestAxioms:
             "image-omega",
             "commutation",
         ]
-        assert all(r.checked > 0 for r in rep.results)
+        assert all(r.checked > 0 for r in rep)
         assert observed_signs(lat, (-2, 2), table)
 
     def test_two_component_passes(self):
         lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(3, 0)), 2, (-1, 1))
         rep = verify_crystal_axioms(lat, (-2, 2))
-        assert rep.passed
+        assert passed(rep)
 
     def test_corrupted_lattice_fails_with_witness(self):
         lat = corrupted_lattice(LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1)))
         rep = verify_crystal_axioms(lat, (-2, 2))
-        assert not rep.passed
-        stability = rep.result("lattice-stability")
+        assert not passed(rep)
+        stability = by_name(rep)["lattice-stability"]
         assert stability.witnesses and "pole at 0" in stability.witnesses[0]
 
     def test_each_image_is_computed_once(self, monkeypatch):
@@ -159,7 +168,7 @@ class TestAxioms:
         act_xminus = crystal.act_xminus
         monkeypatch.setattr(crystal, "act_xminus", doubled)
         lat = LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1))
-        commutation = verify_crystal_axioms(lat, (-1, 1)).result("commutation")
+        commutation = by_name(verify_crystal_axioms(lat, (-1, 1)))["commutation"]
         assert commutation.witnesses[0] == (
             "m=1, b=+[0]x[1]: x-after-omega gives xminus[1] on +[0]1: "
             "image coefficient 2 is not a sign, omega-after-x gives +[0]x[1]"
@@ -178,7 +187,7 @@ class TestAxioms:
         lat, table = corrupted_lattice(base), {}
         rep = verify_crystal_axioms(lat, (-2, 2), table)
         text = json.dumps(
-            [[r.name, r.checked, r.witnesses] for r in rep.results]
+            [[r.name, r.checked, r.witnesses] for r in rep]
             + [observed_signs(lat, (-2, 2), table)]
         )
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -186,8 +195,8 @@ class TestAxioms:
     def test_report_serialization(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (0, 1))
         rep = verify_crystal_axioms(lat, (-1, 1))
-        assert rep.passed
-        assert rep.bounds["m_range"] == [-1, 1]
+        rows = json.loads(json.dumps([r.to_dict() for r in rep]))
+        assert [row["status"] for row in rows] == ["pass"] * 5
 
 
 # the bounds of `verify crystal --max-length 2 --window -1:1 --m -1:1`
@@ -293,21 +302,21 @@ class TestAssemble:
 class TestSplit:
     def test_canonical_split_passes(self):
         lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(3, 0)), 1, (-1, 1))
-        rep = split_converse_check(lat, canonical_split(lat), (-1, 1))
-        assert rep.compatible and rep.passed
-        assert len(rep.part_reports) == 2
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), (-1, 1))
+        assert witnesses == [] and all(passed(block) for block in blocks)
+        assert len(blocks) == 2
 
     def test_diagonal_control_rejected(self):
         lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(1, 0)), 1, (-1, 1))
-        rep = split_converse_check(lat, diagonal_control_split(lat), (-1, 1))
-        assert not rep.compatible
-        assert any("mixes components" in w for w in rep.witnesses)
+        witnesses, blocks = split_converse_check(lat, diagonal_control_split(lat), (-1, 1))
+        assert witnesses and blocks == []
+        assert any("mixes components" in w for w in witnesses)
 
     def test_degenerate_single_component(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (-1, 1))
-        rep = split_converse_check(lat, canonical_split(lat), (-1, 1))
-        assert rep.passed
-        assert len(rep.part_reports) == 1
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), (-1, 1))
+        assert witnesses == [] and all(passed(block) for block in blocks)
+        assert len(blocks) == 1
 
     @pytest.mark.parametrize(
         "weights",
@@ -317,20 +326,24 @@ class TestSplit:
     def test_canonical_split_of_three_components(self, weights):
         # one block per component, a repeated weight and d = 1 included
         lat = LatticeDesc(tuple(HighestWeight(h, d) for h, d in weights), 2, (-1, 1))
-        assert verify_crystal_axioms(lat, (-1, 1)).passed
-        rep = split_converse_check(lat, canonical_split(lat), (-1, 1))
-        assert rep.compatible and rep.witnesses == []
-        assert len(rep.part_reports) == 3 and rep.passed
-        assert [r.bounds["weights"] for r in rep.part_reports] == [[list(w)] for w in weights]
+        assert passed(verify_crystal_axioms(lat, (-1, 1)))
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), (-1, 1))
+        assert witnesses == []
+        assert len(blocks) == 3 and all(passed(block) for block in blocks)
+        # block j is the axiom run on component j alone, with its own weight
+        assert blocks == [
+            verify_crystal_axioms(LatticeDesc((HighestWeight(h, d),), 2, (-1, 1)), (-1, 1))
+            for h, d in weights
+        ]
 
     def test_three_components_with_a_repeated_weight_at_default_bounds(self):
         m_range, table = (-3, 3), {}
         weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(1, 0))
         lat = LatticeDesc(weights, 3, (-2, 2))
-        assert verify_crystal_axioms(lat, m_range, table).passed
-        rep = split_converse_check(lat, canonical_split(lat), m_range, table)
-        assert rep.compatible and rep.witnesses == []
-        assert len(rep.part_reports) == 3 and rep.passed
+        assert passed(verify_crystal_axioms(lat, m_range, table))
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range, table)
+        assert witnesses == []
+        assert len(blocks) == 3 and all(passed(block) for block in blocks)
 
     def test_corrupted_three_components(self):
         # the corrupted generator lies in component 0: only its classes fail
@@ -338,15 +351,14 @@ class TestSplit:
         m_range, table = (-1, 1), {}
         weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(-2, 0))
         lat = corrupted_lattice(LatticeDesc(weights, 2, (-1, 1)))
-        stability = verify_crystal_axioms(lat, m_range, table).result("lattice-stability")
+        stability = by_name(verify_crystal_axioms(lat, m_range, table))["lattice-stability"]
         assert stability.witnesses
         for w in stability.witnesses:
             assert re.findall(r"(?:[+-]|of )\[(\d+)\]", w) == ["0", "0"], w
-        rep = split_converse_check(lat, canonical_split(lat), m_range, table)
-        assert rep.compatible and rep.witnesses == []
-        assert [r.passed for r in rep.part_reports] == [False, True, True]
-        block = rep.part_reports[0].result("lattice-stability")
-        assert block.witnesses == stability.witnesses
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range, table)
+        assert witnesses == []
+        assert [passed(block) for block in blocks] == [False, True, True]
+        assert by_name(blocks[0])["lattice-stability"].witnesses == stability.witnesses
 
     def test_direct_sum_coherence(self):
         window, mrange = (-1, 1), (-2, 2)
@@ -355,6 +367,6 @@ class TestSplit:
             LatticeDesc((HighestWeight(1, 0),), 2, window),
             LatticeDesc((HighestWeight(3, 0),), 2, window),
         ]
-        combined = verify_crystal_axioms(both, mrange).passed
-        separate = all(verify_crystal_axioms(p, mrange).passed for p in parts)
+        combined = passed(verify_crystal_axioms(both, mrange))
+        separate = all(passed(verify_crystal_axioms(p, mrange)) for p in parts)
         assert combined == separate

@@ -14,13 +14,13 @@ from imcrystal.check import Check
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element, Weight, enumerate_all
 from imcrystal.verma import (
+    DirectSum,
     HighestWeight,
     act_D,
     act_h,
     act_K,
     act_xminus,
     act_xplus,
-    direct_sum,
     nilpotency_probe,
     simplicity_probe,
 )
@@ -43,7 +43,7 @@ def suite_module_per_sample_uncached(weights, d, max_length, window, comp_range)
     lo, hi = comp_range
     monos = enumerate_all(max_length, window)
     for h in weights:
-        M = direct_sum([HighestWeight(h, d)])
+        M = DirectSum([HighestWeight(h, d)])
         samples = [(mono, M.inject(0, Element.monomial(mono))) for mono in monos]
         for mono, v in samples:
             tag = f"h={h}, x{list(mono)}"

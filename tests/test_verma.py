@@ -11,6 +11,7 @@ from imcrystal.kashiwara import _compositions
 from imcrystal.qcoeff import Coeff, QRat, g_coeff, g_coeff_bar, quantum_int
 from imcrystal.qalgebra import Element, _linear_sum, enumerate_all, normalize_word, parse_element
 from imcrystal.verma import (
+    DirectSum,
     GENERATORS,
     HighestWeight,
     VermaVector,
@@ -25,7 +26,6 @@ from imcrystal.verma import (
     act_xplus,
     component_swap_map,
     current_commutator,
-    direct_sum,
     format_vector,
     injection_map,
     nilpotency_probe,
@@ -177,7 +177,7 @@ def bfs_simplicity_path(v, index_pad=2):
 
 @pytest.fixture
 def M1():
-    return direct_sum([HighestWeight(1, 0)])
+    return DirectSum([HighestWeight(1, 0)])
 
 
 class TestHighestWeight:
@@ -187,7 +187,7 @@ class TestHighestWeight:
 
     def test_direct_sum_rejects_zero(self):
         with pytest.raises(ValueError):
-            direct_sum([HighestWeight(1), HighestWeight(0)])
+            DirectSum([HighestWeight(1), HighestWeight(0)])
 
 
 class TestLowering:
@@ -222,12 +222,12 @@ class TestHeisenberg:
     def test_memo_matches_uncached(self):
         ks = (1, -1, 2, -2, 3, -3)
         for h in (1, 2, -1, 3):
-            M = direct_sum([HighestWeight(h, 0)])
+            M = DirectSum([HighestWeight(h, 0)])
             for mono in enumerate_all(3, (-2, 2)):
                 v = M.inject(0, Element.monomial(mono))
                 for k in ks:
                     assert act_h(k, v) == act_h_uncached(k, v), (h, mono, k)
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(-1, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(-1, 0)])
         vectors = [
             M.inject(0, parse_element("x[1]x[0] + (q^2)*x[-1]x[2] - 3*x[0]")),
             M.inject(0, x(2, -1)) + M.inject(1, parse_element("(1-q^2)*x[0]x[0]x[1] + x[-2]")),
@@ -239,7 +239,7 @@ class TestHeisenberg:
 
     def test_cached_image_is_not_mutated(self):
         mono = (1, 0, -1)
-        M = direct_sum([HighestWeight(2, 0)])
+        M = DirectSum([HighestWeight(2, 0)])
         v = M.inject(0, Element.monomial(mono))
         cached = _h_mono(2, mono)
         terms = dict(cached._terms)
@@ -276,7 +276,7 @@ class TestCartanCurrents:
     def test_closed_form_matches_partition_sums(self):
         for h in (1, 2, -1, 3):
             lam = HighestWeight(h, 0)
-            M = direct_sum([lam])
+            M = DirectSum([lam])
             for mono in enumerate_all(2, (-2, 2)):
                 v = M.inject(0, Element.monomial(mono))
                 for p in range(-5, 6):
@@ -297,7 +297,7 @@ class TestCartanCurrents:
 class TestRaising:
     def test_scalar_on_single_factor(self):
         for J in (1, 2, -1, 5):
-            M = direct_sum([HighestWeight(J, 0)])
+            M = DirectSum([HighestWeight(J, 0)])
             v = act_xplus(0, M.inject(0, x(0)))
             assert v.element(0) == Element.scalar(Coeff.quantum(J))
 
@@ -322,7 +322,7 @@ class TestRaising:
     def test_sl2_string(self):
         # x+[0] x[0]^n v = [n][h - n + 1] x[0]^(n-1) v
         for h in (1, 2, -1, 3):
-            M = direct_sum([HighestWeight(h, 0)])
+            M = DirectSum([HighestWeight(h, 0)])
             for n in range(1, 7):
                 v = act_xplus(0, M.inject(0, x(*[0] * n)))
                 expected = x(*[0] * (n - 1)) * (Coeff.quantum(n) * Coeff.quantum(h - n + 1))
@@ -332,7 +332,7 @@ class TestRaising:
         # the same string formula on a 200-factor word, with the stack
         # bounded well below one frame per factor
         n, h = 200, 1
-        M = direct_sum([HighestWeight(h, 0)])
+        M = DirectSum([HighestWeight(h, 0)])
         v = M.inject(0, x(*[0] * n))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -353,14 +353,14 @@ class TestRaising:
 
 class TestDiagonal:
     def test_K_examples(self):
-        M = direct_sum([HighestWeight(1, 0)])
+        M = DirectSum([HighestWeight(1, 0)])
         v = act_K(M.inject(0, x(2, 0)))
         assert v.element(0) == x(2, 0) * Coeff.q_power(-6)
-        M2 = direct_sum([HighestWeight(2, 0)])
+        M2 = DirectSum([HighestWeight(2, 0)])
         assert act_K(M2.highest()).element(0) == Element.scalar(Coeff.q_power(4))
 
     def test_D_examples(self):
-        M = direct_sum([HighestWeight(1, 0)])
+        M = DirectSum([HighestWeight(1, 0)])
         assert act_D(M.highest()) == M.highest()
         v = act_D(M.inject(0, x(2, 0)))
         assert v.element(0) == x(2, 0) * Coeff.q_power(4)
@@ -373,23 +373,23 @@ class TestDiagonal:
 
 class TestChevalley:
     def test_examples(self):
-        M = direct_sum([HighestWeight(1, 0)])
+        M = DirectSum([HighestWeight(1, 0)])
         assert chevalley("E1", M.inject(0, x(0))).element(0) == Element.scalar(
             Coeff.quantum(1)
         )
         assert chevalley("F1", M.highest()).element(0) == x(0)
-        M2 = direct_sum([HighestWeight(2, 0)])
+        M2 = DirectSum([HighestWeight(2, 0)])
         assert chevalley("K0", M2.highest()).element(0) == Element.scalar(
             Coeff.q_power(-4)
         )
 
     def test_E0_through_dictionary(self):
-        M = direct_sum([HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(3, 0)])
         assert chevalley("E0", M.highest()).element(0) == x(1) * Coeff.q_power(-6)
 
     def test_EF_commutator(self):
         # E1 F1 - F1 E1 = (K1 - K1^-1)/(q - q^-1) on samples
-        M = direct_sum([HighestWeight(2, 0)])
+        M = DirectSum([HighestWeight(2, 0)])
         for mono in enumerate_all(2, (-1, 1)):
             v = M.inject(0, Element.monomial(mono))
             lhs = chevalley("E1", chevalley("F1", v)) - chevalley("F1", chevalley("E1", v))
@@ -401,7 +401,7 @@ class TestChevalley:
             assert lhs == rhs, mono
 
     def test_unknown_generator(self):
-        M = direct_sum([HighestWeight(1, 0)])
+        M = DirectSum([HighestWeight(1, 0)])
         with pytest.raises(KeyError):
             chevalley("E2", M.highest())
 
@@ -415,17 +415,17 @@ class TestTildeOmega:
 
 class TestDirectSum:
     def test_inject_project(self):
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
         e = x(1, 0)
         assert M.project(0, M.inject(0, e)).element(0) == e
         assert M.project(1, M.inject(0, e)).is_zero
 
     def test_descriptor(self):
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
         assert len(M.weights) == 2
 
     def test_vector_algebra(self):
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
         v = M.inject(0, x(0)) + M.inject(1, x(1))
         assert (v - v).is_zero
         w = M.inject(1, x(1) * Coeff.q_power(2) + x(0))
@@ -435,9 +435,9 @@ class TestDirectSum:
 
 class TestIntertwining:
     def _fixtures(self):
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
         monos = enumerate_all(2, (-1, 1))
-        single = direct_sum([HighestWeight(1, 0)])
+        single = DirectSum([HighestWeight(1, 0)])
         inj_samples = [single.inject(0, Element.monomial(m)) for m in monos]
         sum_samples = [M.inject(i, Element.monomial(m)) for m in monos for i in (0, 1)]
         return M, inj_samples, sum_samples
@@ -473,7 +473,7 @@ class TestProbes:
 
     def test_simplicity(self):
         for h in (1, 2, -1):
-            M = direct_sum([HighestWeight(h, 0)])
+            M = DirectSum([HighestWeight(h, 0)])
             for mono in enumerate_all(2, (-1, 1)):
                 if not mono:
                     continue
@@ -482,14 +482,14 @@ class TestProbes:
 
     def test_depth_first_matches_breadth_first(self):
         for h in (1, 2, -1):
-            M = direct_sum([HighestWeight(h, 0)])
+            M = DirectSum([HighestWeight(h, 0)])
             for mono in enumerate_all(3, (-2, 2)):
                 if mono:
                     v = M.inject(0, Element.monomial(mono))
                     assert simplicity_probe(v) == bfs_simplicity_path(v), (h, mono)
 
     def test_mixed_lengths_take_the_shortest_path(self):
-        M = direct_sum([HighestWeight(1, 0), HighestWeight(3, 0)])
+        M = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
         exprs = ("1", "1 + x[2]", "x[0] + x[0]x[0]", "x[0] + x[1]x[0]",
                  "x[1]x[0] + x[0]x[0]x[-1]")
         for expr in exprs:
