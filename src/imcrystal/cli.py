@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -700,10 +701,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    out = json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else text
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: drop the output, keep the command's exit
+        # code, and send the interpreter's last flush to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # an element that starts with '-', as in -x[0], -3*x[0], -(x[0]), -[2]*x[0]

@@ -75,6 +75,9 @@ def memo(table: dict) -> Callable[[Callable], Callable]:
     needs must not form a cycle).  Those are computed first, on an explicit
     stack, and then the function is called again, so a chain of
     dependencies as long as a word never runs on Python's stack.
+
+    An `Element` is stored with each coefficient replaced by the one shared
+    object of its value, so the tables hold each value once.
     """
 
     def wrap(fn: Callable) -> Callable:
@@ -90,6 +93,8 @@ def memo(table: dict) -> Callable[[Callable], Callable]:
                     out = fn(*k)
                     if isinstance(out, list):
                         stack += [k, *out]
+                    elif isinstance(out, Element):
+                        table[k] = Element._of({m: _shared(c) for m, c in out._terms.items()})
                     else:
                         table[k] = out
             return table[key]
@@ -219,6 +224,15 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({format_element(self)!r})"
+
+
+_SHARED: dict[tuple[Coeff], Coeff] = {}
+
+
+@memo(_SHARED)
+def _shared(c: Coeff) -> Coeff:
+    """The one object of the value c that the memo tables hold."""
+    return c
 
 
 def _display_key(mono: Monomial) -> tuple:

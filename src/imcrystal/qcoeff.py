@@ -333,7 +333,7 @@ class Coeff:
     is an ascending tuple of ints, a primitive polynomial in s with nonzero
     constant term and positive leading coefficient, that has no factor in
     common with every gamma term of ``_t``.  A Laurent value holds the
-    shared ``_ONE``.  Treated as immutable.
+    shared ``_ONE``.  Treated as immutable, and hashed by value.
     """
 
     __slots__ = ("_t", "_d", "_D")
@@ -388,6 +388,9 @@ class Coeff:
         if not isinstance(other, Coeff):
             return NotImplemented
         return self._t == other._t and self._d == other._d and self._D == other._D
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._t.items()), self._d, self._D))
 
     def items(self) -> Iterator[tuple[int, QRat]]:
         d, D = Fraction(1, self._d), self._D

@@ -4,6 +4,10 @@ import io
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,19 @@ class TestNesting:
         # the position is that of the parenthesis one level past the bound
         assert err == (f"parse error: parentheses nested deeper than {MAX_NESTING}"
                        f" (at position {MAX_NESTING})")
+
+
+def test_a_closed_stdout_keeps_the_exit_code():
+    # the reader closes its end of the pipe before the child writes
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["verify", "confluence", "--max-length", "2", "--window", "-1:1", "--format", "json"]
+    child = subprocess.Popen([sys.executable, "-m", "imcrystal.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == EXIT_PASS
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestVerify:

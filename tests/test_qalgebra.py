@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from imcrystal import qalgebra
+from imcrystal import cli, kashiwara, qalgebra, verma
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import (
     Element,
@@ -378,3 +378,17 @@ def test_cached_results_are_not_mutated():
     assert _xplus_mono(1, (1, 0, -1), HighestWeight(2).h) is xplus
     for e, terms in before:
         assert e._terms == terms
+
+
+def test_memo_tables_keep_one_object_per_value(cold):
+    tables = [qalgebra._CACHE, kashiwara._OMEGA_CACHE,
+              verma._H_CACHE, verma._DIFF_CACHE, verma._XPLUS_CACHE]
+    for table in tables:
+        cold(table)
+    bounds = ["--max-length", "1", "--window", "-1:1", "--m", "-1:1"]
+    for suite in ("relations", "module"):
+        assert cli.main(["verify", suite, *bounds]) == cli.EXIT_PASS
+    coeffs = [c for table in tables for e in table.values() for c in e._terms.values()]
+    values = {(frozenset(c._t.items()), c._d, c._D) for c in coeffs}
+    assert len(values) > 100
+    assert len({id(c) for c in coeffs}) == len(values)

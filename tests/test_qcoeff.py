@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imcrystal.qcoeff import (
     Coeff,
@@ -678,6 +678,24 @@ def test_built_in_the_form_of_its_value(ta):
     c = Coeff(ta)
     assert in_one_form(c)
     assert (c._D is _ONE) == all(r.den == (1,) for r in ta.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_terms(), gamma_terms(), st.sampled_from(NON_LAURENT))
+# one value that has gamma terms, d = 6 and D = 1 + q, of positive degree
+@example({-2: laurent({0: Fraction(1, 2), 4: 1}), 1: QRat.one() / laurent_ints(1, 0, 1),
+          3: laurent({-1: Fraction(-1, 3)})},
+         {0: QRat.one() / laurent_ints(2, -1)}, NON_LAURENT[0])
+def test_hash_agrees_with_equality(ta, tb, r):
+    pieces = [Coeff.from_qrat(x, g) for g, x in ta.items()]
+    forward = sum(pieces, Coeff.zero())
+    b = Coeff(tb)
+    for one, other in (
+        (forward, sum(reversed(pieces), Coeff.zero())),
+        (forward, forward + b - b),
+        (forward, forward / r * r),
+    ):
+        assert one == other and hash(one) == hash(other)
 
 
 def inverse(*laurent_terms):

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imcrystal import pairing
+from imcrystal.qalgebra import Weight
 from imcrystal.qcoeff import Coeff, CoefficientError, congruent_mod_q2
 
 sympy = pytest.importorskip("sympy")
@@ -128,3 +130,20 @@ def test_inspection_matches_sympy(ax, target):
     shifted = dict(x)
     shifted[0] = shifted.get(0, 0) - rational(Fraction(target))
     assert congruent_mod_q2(a, target) == (valuation(shifted) >= 4)
+
+
+def test_gram_entries_of_length_at_most_two():
+    # the form is the identity on normal words of length <= 2, except that
+    # (x[a]x[a], x[a]x[a]) = 1 + q^2
+    window = (-5, 5)
+    entries = 0
+    for length in (1, 2):
+        for degree in range(length * window[0], length * window[1] + 1):
+            g = pairing.gram(Weight(length, degree), window)
+            for i, row in enumerate(g.entries):
+                for j, c in enumerate(row):
+                    square = length == 2 and g.basis[i][0] == g.basis[i][1]
+                    expected = (1 + S**4 if square else 1) if i == j else 0
+                    assert same(c, {0: expected}), (g.basis[i], g.basis[j])
+                    entries += 1
+    assert entries == 267
