@@ -62,7 +62,6 @@ from .verma import (
 )
 from .crystal import (
     CrystalClass,
-    ImageTable,
     LatticeDesc,
     canonical_split,
     corrupted_lattice,
@@ -501,18 +500,17 @@ def suite_crystal(
         lat = LatticeDesc(tuple(HighestWeight(h, d) for h in hs), max_length, window)
         return corrupted_lattice(lat) if corrupt == "lattice" else lat
 
-    # one table of tilde images for the run: a component's images do not
-    # depend on its weight, so every lattice below reads the same entries;
-    # each axiom run is one result, each witness tagged with its axiom
-    table: ImageTable = {}
+    # the tilde images are memoised without the weight, which they do not
+    # depend on, so every lattice below reads the same entries; each axiom
+    # run is one result, each witness tagged with its axiom
     results = [
-        Check.fold(f"axioms-h{h}", verify_crystal_axioms(lattice((h,)), m_range, table), tag=True)
+        Check.fold(f"axioms-h{h}", verify_crystal_axioms(lattice((h,)), m_range), tag=True)
         for h in weights
     ]
     if len(weights) >= 2:
         lat2 = lattice(weights[:2])
         results.append(
-            Check.fold("axioms-direct-sum", verify_crystal_axioms(lat2, m_range, table), tag=True)
+            Check.fold("axioms-direct-sum", verify_crystal_axioms(lat2, m_range), tag=True)
         )
         components_pass = results[0].passed and results[1].passed
         lat_eq = LatticeDesc((HighestWeight(weights[0], d),) * 2, min(1, max_length), window)
@@ -524,21 +522,21 @@ def suite_crystal(
             ),
             # a split is (witnesses, the axiom results of each block)
             Check("split-canonical").run(
-                [split_converse_check(lat2, canonical_split(lat2), m_range, table)],
+                [split_converse_check(lat2, canonical_split(lat2), m_range)],
                 lambda split: split[0] or (
                     None if all(r.passed for block in split[1] for r in block)
                     else "restricted axiom run failed"
                 ),
             ),
             Check("split-diagonal-control").run(
-                [split_converse_check(lat_eq, diagonal_control_split(lat_eq), m_range, table)],
+                [split_converse_check(lat_eq, diagonal_control_split(lat_eq), m_range)],
                 lambda split: None if split[0] else "diagonal sublattice was not rejected",
             ),
         ]
 
     lat1 = LatticeDesc((HighestWeight(weights[0], d),), max_length, window)
     results.append(Check("signed-image-example").run(
-        [crystal_image_x(0, CrystalClass(1, (2,), 0), lat1, table)],
+        [crystal_image_x(0, CrystalClass(1, (2,), 0), lat1)],
         lambda img: None if img == CrystalClass(-1, (1, 1), 0)
         else f"x~_0 class(x[2]) gave {img}",
     ))

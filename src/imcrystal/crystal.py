@@ -14,14 +14,14 @@ operator range):
 * commutation: whenever both the annihilation image and the lowering
   image of a class are nonzero, the two composites agree in L/qL.
 
-Each tilde image is computed once per table, and one table may serve
-several axiom runs.  It is keyed by (operator, index, sign, monomial,
-scales of the class's own component) and holds only the component-free
-part of the image: its coordinates with a pole at 0 and its class in L/qL,
-each by monomial.  The weight is not in the key, as the tilde operators
-act on the element of a component and never read its weight; witnesses and
-classes are built with the component of the class asked about.  So a
-direct sum, its summands and the blocks of its split all read the same
+Each tilde image is computed once per process, through `qalgebra.memo`.
+Its table is keyed by (operator, index, sign, monomial, scales of the
+class's own component) and holds only the component-free part of the image:
+its coordinates with a pole at 0 and its class in L/qL, each by monomial.
+The weight is not in the key, as the tilde operators act on the element of
+a component and never read its weight; witnesses and classes are built with
+the component of the class asked about.  So a direct sum, its summands, the
+blocks of its split and every later run on the same scales read the same
 entries, and the stability, image and commutation checks read from them.
 
 All probed conditions quantify over infinite sets in general, so every
@@ -39,7 +39,7 @@ from typing import Callable
 
 from .check import Check
 from .qcoeff import Coeff
-from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial
+from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial, memo
 from .verma import (
     DirectSum,
     HighestWeight,
@@ -99,9 +99,7 @@ class LatticeDesc:
     def scale_key(self, component: int) -> frozenset:
         """The generator scales of one component in hashable form, the part
         of an image-table key that the lattice decides."""
-        return frozenset(
-            (mono, tuple(c.items())) for (i, mono), c in self.scales.items() if i == component
-        )
+        return frozenset((mono, c) for (i, mono), c in self.scales.items() if i == component)
 
     def lift(self, b: CrystalClass) -> VermaVector:
         """Lattice generator representing the class: sign * scale * mono . v."""
@@ -147,15 +145,12 @@ def reduce_mod_q(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Fraction]:
 
 # a class in L/qL, None for zero, or the text of why the image is not a class
 TildeImage = CrystalClass | None | str
+ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
 # (operator, index, sign, monomial, scale key of the class's component) ->
 # (the monomials of the coordinates with a pole at 0; the image in L/qL
 # without its component: None for zero, (sign, monomial), or why it is not
 # a class)
-ImageTable = dict[
-    tuple[str, int, int, Monomial, frozenset],
-    tuple[list[Monomial], tuple[int, Monomial] | str | None],
-]
-ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
+_IMAGES: dict[tuple, tuple] = {}
 
 
 def _signed_monomial(reduced: dict[ClassKey, Fraction]) -> tuple[int, Monomial] | str | None:
@@ -171,66 +166,64 @@ def _signed_monomial(reduced: dict[ClassKey, Fraction]) -> tuple[int, Monomial] 
     return (1 if value > 0 else -1), mono
 
 
-def _image_reader(lat: LatticeDesc, table: ImageTable | None) -> ImageReader:
-    """The tilde images of lat's classes through the table (a fresh one if
-    it is None).  A miss applies the tilde operator ("xminus" or
-    "omega-psi") to the lift of b once and stores the component-free part;
-    every read returns the stability witnesses (one per lattice coordinate
-    with a pole at 0) and the class of the image in L/qL (a signed class,
-    None for zero, or the text of the violation found), named with b's own
+@memo(_IMAGES)
+def _tilde_image(op: str, m: int, sign: int, mono: Monomial, scales: frozenset) -> tuple:
+    """The component-free part of one tilde image ("xminus" or "omega-psi")
+    of the class sign * mono under the given generator scales, an entry of
+    `_IMAGES`.  The operator acts on a one-component lift whose weight it
+    never reads.  The poles are a tuple, as `memo` reads a list as the keys
+    still needed."""
+    lat = LatticeDesc((HighestWeight(1),), 0, (0, 0), {(0, w): c for w, c in scales})
+    apply = act_xminus if op == "xminus" else tilde_omega
+    poles, reduced = _reduce(apply(m, lat.lift(CrystalClass(sign, mono, 0))), lat)
+    return tuple(w for _, w in poles), None if poles else _signed_monomial(reduced)
+
+
+def _image_reader(lat: LatticeDesc) -> ImageReader:
+    """The tilde images of lat's classes through the memo.  Every read
+    returns the stability witnesses (one per lattice coordinate with a pole
+    at 0) and the class of the image in L/qL (a signed class, None for
+    zero, or the text of the violation found), named with b's own
     component."""
-    table = {} if table is None else table
     scale_keys = [lat.scale_key(i) for i in range(len(lat.weights))]
 
     def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
-        key = (op, m, b.sign, b.mono, scale_keys[b.component])
-        if (entry := table.get(key)) is None:
-            apply = act_xminus if op == "xminus" else tilde_omega
-            poles, reduced = _reduce(apply(m, lat.lift(b)), lat)
-            entry = table[key] = (
-                [mono for _, mono in poles],
-                None if poles else _signed_monomial(reduced),
-            )
-        poles, img = entry
+        poles, img = _tilde_image(op, m, b.sign, b.mono, scale_keys[b.component])
         comp = b.component
         if not (poles or isinstance(img, str)):
             return [], None if img is None else CrystalClass(*img, comp)
         source = f"{op}[{m}] on {b}"
-        why = NotInLatticeError((comp, poles[0])) if poles else img
-        return [f"{source}: {_pole_text((comp, mono))}" for mono in poles], f"{source}: {why}"
+        texts = [_pole_text((comp, mono)) for mono in poles]
+        why = f"not in the lattice: {texts[0]}" if poles else img
+        return [f"{source}: {text}" for text in texts], f"{source}: {why}"
 
     return image
 
 
-def crystal_image_x(
-    m: int, b: CrystalClass, lat: LatticeDesc, table: ImageTable | None = None
-) -> TildeImage:
-    """Class of the lowering operator image in L/qL, read from `table` if
-    it is given."""
-    return _image_reader(lat, table)("xminus", m, b)[1]
+def crystal_image_x(m: int, b: CrystalClass, lat: LatticeDesc) -> TildeImage:
+    """Class of the lowering operator image in L/qL."""
+    return _image_reader(lat)("xminus", m, b)[1]
 
 
 # ---------------------------------------------------------------------------
 # axiom verification
 
 
-def verify_crystal_axioms(
-    lat: LatticeDesc, m_range: tuple[int, int], table: ImageTable | None = None
-) -> list[Check]:
+def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> list[Check]:
     """Run the crystal-basis axiom checks over the lattice's finite probe:
     lattice-stability, weight-grading, image-xminus, image-omega and
     commutation, in that order.
 
-    Every check reads the tilde images from `table`, which a caller may
-    share between runs; without one the run keeps its own.  Its key is
-    (operator, index, sign, monomial, scales of the class's component) and
-    leaves out the weight, which the tilde operators never read, so the
-    components of a sum with equal scales share their images."""
+    Every check reads the tilde images through the memo of this module.
+    Its key is (operator, index, sign, monomial, scales of the class's
+    component) and leaves out the weight, which the tilde operators never
+    read, so the components of a sum with equal scales share their
+    images, and so do later runs."""
     lo, hi = m_range
     classes = lat.classes()
     ms = range(lo, hi + 1)
     ops = ("xminus", "omega-psi")
-    image = _image_reader(lat, table)
+    image = _image_reader(lat)
 
     def off_weight(b: CrystalClass) -> str | None:
         # a K and D eigenvector of the expected weight
@@ -316,7 +309,7 @@ def diagonal_control_split(lat: LatticeDesc) -> Split:
 
 
 def split_converse_check(
-    lat: LatticeDesc, split: Split, m_range: tuple[int, int], table: ImageTable | None = None
+    lat: LatticeDesc, split: Split, m_range: tuple[int, int]
 ) -> tuple[list[str], list[list[Check]]]:
     """Verify that a split of the lattice and basis into one block per
     component restricts to a crystal basis on each block.
@@ -330,11 +323,10 @@ def split_converse_check(
     per offending generator, and, when there is none, the axiom results of
     each block in turn; an incompatible split has no blocks.
 
-    The blocks read their tilde images from `table` (a fresh one if none is
-    given), keyed as in `verify_crystal_axioms`: block j keeps the scales
-    of component j, so it reads the entries a run on the whole sum made.
+    The blocks read their tilde images through the memo, keyed as in
+    `verify_crystal_axioms`: block j keeps the scales of component j, so it
+    reads the entries a run on the whole sum made.
     """
-    table = {} if table is None else table
     witnesses: list[str] = []
     cover: dict[ClassKey, int] = {}
     for j, gens in enumerate(split):
@@ -387,4 +379,4 @@ def split_converse_check(
                     {(0, mono): c for (i, mono), c in lat.scales.items() if i == j})
         for j, w in enumerate(lat.weights)
     ]
-    return [], [verify_crystal_axioms(block, m_range, table) for block in blocks]
+    return [], [verify_crystal_axioms(block, m_range) for block in blocks]

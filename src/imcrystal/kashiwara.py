@@ -73,11 +73,11 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element | list:
     The body returns the keys of the components on the rest of the monomial
     that it still needs, and `memo` computes those first; callers always
     get the element."""
-    if not mono:
-        return Element.zero()
     sign = _SIGN.get(kind)
     if sign is None:
         raise ValueError(f"unknown operator kind {kind!r}")
+    if not mono:
+        return Element.zero()
     m, rest = mono[0], mono[1:]
     # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
     rmax = sign * p + (max(rest) if sign > 0 else -min(rest)) if rest else -1

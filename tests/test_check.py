@@ -217,28 +217,56 @@ def test_the_guard_sees_each_kind_of_name():
 _DICT_WRITES = ("__setitem__", "__delitem__", "clear", "pop", "popitem", "setdefault", "update")
 
 
+def _is_new_dict(node: ast.AST) -> bool:
+    """Whether a node is a dict display, a dict comprehension or a dict() call."""
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+    )
+
+
 def _module_dicts(tree: ast.Module) -> set[str]:
     """The names a module binds at top level to a new dict."""
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
-            isinstance(node.value, (ast.Dict, ast.DictComp))
-            or isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "dict"
-        ):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_new_dict(node.value):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     return names
 
 
+def _caller_owned(fn: ast.FunctionDef | ast.Lambda) -> set[str]:
+    """The parameters a function rebinds to a new dict when the caller gave
+    none: an assignment to the parameter that makes a dict and reads the
+    parameter itself, in its value (`t = {} if t is None else t`, `t = t or
+    {}`) or in the test of the `if` around it (`if t is None: t = {}`)."""
+    params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    found = set()
+    for node in ast.walk(fn):
+        for stmt in node.body if isinstance(node, ast.If) else [node]:
+            if not (
+                isinstance(stmt, ast.Assign) and any(map(_is_new_dict, ast.walk(stmt.value)))
+            ):
+                continue
+            reads = {n.id for n in ast.walk(stmt.value) if isinstance(n, ast.Name)}
+            if isinstance(node, ast.If):
+                reads |= {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+            found.update(
+                t.id for t in stmt.targets if isinstance(t, ast.Name) and t.id in params & reads
+            )
+    return found
+
+
 def _memo_writes(tree: ast.Module) -> list[str]:
-    """Each place in a function body that writes into a module-level dict
-    by its name: an item assignment or deletion, or a dict method that
-    changes it."""
-    dicts = _module_dicts(tree)
+    """Each place in a function body that writes into a memo by its name: a
+    module-level dict, or a parameter the function rebinds to a new dict
+    when the caller gave none.  A write is an item assignment or deletion,
+    or a dict method that changes the dict."""
+    module_dicts = _module_dicts(tree)
     found = set()
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
             continue
+        dicts = module_dicts | _caller_owned(fn)
         for node in ast.walk(fn):
             if (
                 isinstance(node, ast.Subscript)
@@ -259,7 +287,8 @@ def _memo_writes(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_memo_writes_a_memo(path):
     # every memo goes through qalgebra.memo, which writes only the table it
-    # is given; so no function writes a module-level dict by its name
+    # is given; so no function writes a module-level dict by its name, nor
+    # a memo its caller may own, made when the caller passed none
     tree = ast.parse((SRC / path).read_text(), path)
     assert _memo_writes(tree) == []
 
@@ -300,4 +329,35 @@ def test_the_guard_sees_each_memo_write():
         "line 8: writes C[...]",
         "line 9: calls B.setdefault",
         "line 11: calls A.update",
+    ]
+
+
+def test_the_guard_sees_each_caller_owned_memo():
+    # a parameter rebound to a new dict when it is None, then written;
+    # reading `terms or {}` and writing a dict of one's own are not memos
+    tree = ast.parse(
+        "def f(lat, table=None):\n"
+        "    table = {} if table is None else table\n"
+        "    def image(key):\n"
+        "        table[key] = 1\n"
+        "def g(cache=None, other=None):\n"
+        "    if cache is None:\n"
+        "        cache = dict()\n"
+        "    other = other or {}\n"
+        "    cache.setdefault(0, 1)\n"
+        "    del other[0]\n"
+        "class E:\n"
+        "    def __init__(self, terms=None):\n"
+        "        self._terms = {m: c for m, c in (terms or {}).items() if c}\n"
+        "        own = dict(terms or {})\n"
+        "        own[()] = 1\n"
+        "        self._terms[()] = 1\n"
+        "def h(terms):\n"
+        "    terms = {}\n"
+        "    terms[0] = 1\n"
+    )
+    assert _memo_writes(tree) == [
+        "line 4: writes table[...]",
+        "line 9: calls cache.setdefault",
+        "line 10: writes other[...]",
     ]

@@ -38,7 +38,7 @@ def vec(lat, mono, coeff=None):
 
 def crystal_image_omega(m, b, lat):
     """Class of the annihilation operator image in L/qL."""
-    return crystal._image_reader(lat, None)("omega-psi", m, b)[1]
+    return crystal._image_reader(lat)("omega-psi", m, b)[1]
 
 
 def assemble_direct_sum_basis(weights, max_length, window):
@@ -56,9 +56,10 @@ def passed(results):
     return all(r.passed for r in results)
 
 
-def observed_signs(lat, m_range, table):
-    """Every signed tilde image of the run that filled the table, as text."""
-    image = crystal._image_reader(lat, table)
+def observed_signs(lat, m_range):
+    """Every signed tilde image of a run on the lattice, as text; after a
+    run on a cold table, these are the entries that run made."""
+    image = crystal._image_reader(lat)
     return [
         f"{op}[{m}] {b.describe()} -> {img.describe()}"
         for b in lat.classes()
@@ -113,10 +114,10 @@ class TestImages:
 
 
 class TestAxioms:
-    def test_single_component_passes(self):
+    def test_single_component_passes(self, cold):
+        cold(crystal._IMAGES)
         lat = LatticeDesc((HighestWeight(1, 0),), 2, (-1, 1))
-        table = {}
-        rep = verify_crystal_axioms(lat, (-2, 2), table)
+        rep = verify_crystal_axioms(lat, (-2, 2))
         assert passed(rep)
         names = [r.name for r in rep]
         assert names == [
@@ -127,7 +128,7 @@ class TestAxioms:
             "commutation",
         ]
         assert all(r.checked > 0 for r in rep)
-        assert observed_signs(lat, (-2, 2), table)
+        assert observed_signs(lat, (-2, 2))
 
     def test_two_component_passes(self):
         lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(3, 0)), 2, (-1, 1))
@@ -141,7 +142,8 @@ class TestAxioms:
         stability = by_name(rep)["lattice-stability"]
         assert stability.witnesses and "pole at 0" in stability.witnesses[0]
 
-    def test_each_image_is_computed_once(self, monkeypatch):
+    def test_each_image_is_computed_once(self, monkeypatch, cold):
+        cold(crystal._IMAGES)
         applied = Counter()
 
         def counting(name, apply):
@@ -157,9 +159,12 @@ class TestAxioms:
         assert applied
         assert [key for key, n in applied.items() if n > 1] == []
 
-    def test_commutation_witness_describes_a_violation(self, monkeypatch):
+    def test_commutation_witness_describes_a_violation(self, monkeypatch, cold):
         # a lowering operator that doubles its image of the highest-weight
-        # vector: x-after-omega then reaches a class with coefficient 2
+        # vector: x-after-omega then reaches a class with coefficient 2; the
+        # cold table keeps its images out of the memo of later tests
+        cold(crystal._IMAGES)
+
         def doubled(m, v):
             image = act_xminus(m, v)
             at_top = any(mono == () for mono, _ in v.element(0).items())
@@ -181,14 +186,14 @@ class TestAxioms:
             ((1, 3), (-2, 2), "f3a6b84295c23984"),
         ],
     )
-    def test_uncapped_witness_text(self, weights, window, digest):
+    def test_uncapped_witness_text(self, cold, weights, window, digest):
         # every witness and observed sign of the corrupted fixture, none capped
+        cold(crystal._IMAGES)
         base = LatticeDesc(tuple(HighestWeight(h, 0) for h in weights), 2, window)
-        lat, table = corrupted_lattice(base), {}
-        rep = verify_crystal_axioms(lat, (-2, 2), table)
+        lat = corrupted_lattice(base)
+        rep = verify_crystal_axioms(lat, (-2, 2))
         text = json.dumps(
-            [[r.name, r.checked, r.witnesses] for r in rep]
-            + [observed_signs(lat, (-2, 2), table)]
+            [[r.name, r.checked, r.witnesses] for r in rep] + [observed_signs(lat, (-2, 2))]
         )
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -239,47 +244,45 @@ class TestImageTable:
         ids=["h13", "h135", "h11", "d1", "corrupt", "h11-corrupt"],
     )
     def test_shared_table_matches_fresh_tables(self, monkeypatch, bounds):
-        # every uncapped result of one suite run with its shared table, against
-        # the same run with a fresh table in each call, as before the sharing
-        shared = _rows(cli.suite_crystal(**SMALL, **bounds))
-        for module in (cli, crystal):
-            for name in ("verify_crystal_axioms", "split_converse_check", "crystal_image_x"):
-                original = getattr(crystal, name)
-
-                def fresh(*args, original=original):
-                    *args, table = args
-                    assert isinstance(table, dict)
-                    return original(*args)
-
-                monkeypatch.setattr(module, name, fresh)
-        assert shared == _rows(cli.suite_crystal(**SMALL, **bounds))
+        # every uncapped result of one suite run through the memo, against
+        # the same run that computes each image anew at every read
+        memoised = _rows(cli.suite_crystal(**SMALL, **bounds))
+        monkeypatch.setattr(crystal, "_tilde_image", crystal._tilde_image.__wrapped__)
+        assert memoised == _rows(cli.suite_crystal(**SMALL, **bounds))
 
     @pytest.mark.parametrize(
         "bounds, total, most",
         [({}, 69, 1), ({"weights": (1, 3, 5)}, 69, 1), ({"corrupt": "lattice"}, 136, 2)],
         ids=["h13", "h135", "corrupt"],
     )
-    def test_each_image_is_applied_once_per_suite_run(self, monkeypatch, bounds, total, most):
+    def test_each_image_is_applied_once_per_suite_run(
+        self, monkeypatch, cold, bounds, total, most
+    ):
         # 68 tilde images serve every lattice of the run without scales, and
         # one more is signed-image-example's x[2], outside the window.  With
         # --corrupt lattice, component 0 has the corrupted scales and
         # component 1 of the sum has none, so each element is applied once
         # per scale key.  Per-call tables made 409, 477 and 405 applications.
+        # A second run reads every image from the memo.
+        cold(crystal._IMAGES)
         applied = _count_applications(monkeypatch)
         cli.suite_crystal(**SMALL, **bounds)
         assert sum(applied.values()) == total
         assert max(applied.values()) == most
+        applied.clear()
+        cli.suite_crystal(**SMALL, **bounds)
+        assert sum(applied.values()) == 0
 
-    def test_weight_is_not_in_the_key(self):
-        # the tilde operators never read the weight: fresh tables of three
-        # weights hold equal entries for every class of length <= 2
-        tables = []
-        for h, d in ((1, 0), (3, 0), (-2, 1)):
-            tables.append({})
-            lat = LatticeDesc((HighestWeight(h, d),), 2, (-2, 2))
-            verify_crystal_axioms(lat, (-2, 2), tables[-1])
-        assert len(tables[0]) > 100
-        assert tables[0] == tables[1] == tables[2]
+    def test_weight_is_not_in_the_key(self, monkeypatch, cold):
+        # the tilde operators never read the weight: after M(1) on a cold
+        # table, M(3) and M(-2, 1) find every image of length <= 2 there
+        cold(crystal._IMAGES)
+        verify_crystal_axioms(LatticeDesc((HighestWeight(1, 0),), 2, (-2, 2)), (-2, 2))
+        assert len(crystal._IMAGES) > 100
+        applied = _count_applications(monkeypatch)
+        for h, d in ((3, 0), (-2, 1)):
+            verify_crystal_axioms(LatticeDesc((HighestWeight(h, d),), 2, (-2, 2)), (-2, 2))
+        assert not applied
 
 
 class TestAssemble:
@@ -336,26 +339,28 @@ class TestSplit:
             for h, d in weights
         ]
 
-    def test_three_components_with_a_repeated_weight_at_default_bounds(self):
-        m_range, table = (-3, 3), {}
+    def test_three_components_with_a_repeated_weight_at_default_bounds(self, cold):
+        cold(crystal._IMAGES)
+        m_range = (-3, 3)
         weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(1, 0))
         lat = LatticeDesc(weights, 3, (-2, 2))
-        assert passed(verify_crystal_axioms(lat, m_range, table))
-        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range, table)
+        assert passed(verify_crystal_axioms(lat, m_range))
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range)
         assert witnesses == []
         assert len(blocks) == 3 and all(passed(block) for block in blocks)
 
-    def test_corrupted_three_components(self):
+    def test_corrupted_three_components(self, cold):
         # the corrupted generator lies in component 0: only its classes fail
         # stability, and the component split itself stays compatible
-        m_range, table = (-1, 1), {}
+        cold(crystal._IMAGES)
+        m_range = (-1, 1)
         weights = (HighestWeight(1, 0), HighestWeight(3, 0), HighestWeight(-2, 0))
         lat = corrupted_lattice(LatticeDesc(weights, 2, (-1, 1)))
-        stability = by_name(verify_crystal_axioms(lat, m_range, table))["lattice-stability"]
+        stability = by_name(verify_crystal_axioms(lat, m_range))["lattice-stability"]
         assert stability.witnesses
         for w in stability.witnesses:
             assert re.findall(r"(?:[+-]|of )\[(\d+)\]", w) == ["0", "0"], w
-        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range, table)
+        witnesses, blocks = split_converse_check(lat, canonical_split(lat), m_range)
         assert witnesses == []
         assert [passed(block) for block in blocks] == [False, True, True]
         assert by_name(blocks[0])["lattice-stability"].witnesses == stability.witnesses

@@ -4,12 +4,13 @@ import inspect
 import sys
 from functools import partial
 from itertools import product
+from math import prod
 
 import pytest
 
 from imcrystal.qcoeff import Coeff, g_coeff, g_coeff_bar
 from imcrystal import kashiwara
-from imcrystal.qalgebra import Element, Weight, enumerate_all
+from imcrystal.qalgebra import Element, Weight, _linear_sum, enumerate_all, normalize_word
 from imcrystal.kashiwara import (
     PHI,
     PSI,
@@ -25,6 +26,23 @@ from imcrystal.kashiwara import (
 
 def x(*indices):
     return Element.monomial(indices)
+
+
+def omega_phi_closed(p, mono):
+    """Deletion-slot summation formula for the phi-side operator, the mirror
+    of omega_psi_closed: sums over the removed slot l and compositions
+    (r_1 .. r_{l-1}) with sum r_j = -(p + n_l); each term lowers the prefix
+    indices by the r_j, deletes slot l, multiplies the gbar factors and
+    carries gamma^-p."""
+    gp = Coeff.gamma_power(-2 * p)
+    return _linear_sum(
+        (
+            normalize_word(tuple(n - r for n, r in zip(mono, rs)) + mono[l:]),
+            prod((Coeff.from_qrat(g_coeff_bar(r)) for r in rs), start=gp),
+        )
+        for l in range(1, len(mono) + 1)
+        for rs in _compositions(-(p + mono[l - 1]), l - 1)
+    )
 
 
 @pytest.mark.parametrize("sign,series", [(1, g_coeff), (-1, g_coeff_bar)])
@@ -65,6 +83,14 @@ class TestRecursionExamples:
         op = partial(omega_apply, PSI, 0)
         assert op(x(1, 0)) == Element({(1,): Coeff.q_power(4)})
 
+    def test_unknown_kind_raises_before_the_memo(self):
+        # also on the empty monomial, and without storing an entry
+        before = dict(kashiwara._OMEGA_CACHE)
+        for e in (Element.one(), x(1, 0)):
+            with pytest.raises(ValueError, match="unknown operator kind 'bogus'"):
+                omega_apply("bogus", 0, e)
+        assert kashiwara._OMEGA_CACHE == before
+
 
 class TestClosedFormula:
     def test_examples(self):
@@ -76,6 +102,12 @@ class TestClosedFormula:
         for mono in enumerate_all(3, (-2, 2)):
             for p in range(-5, 6):
                 assert omega_psi_closed(p, mono) == omega_mono(PSI, p, mono), (p, mono)
+
+    def test_phi_oracle_equivalence(self):
+        cases = [(p, mono) for mono in enumerate_all(3, (-2, 2)) for p in range(-6, 7)]
+        assert len(cases) == 728
+        for p, mono in cases:
+            assert omega_phi_closed(p, mono) == omega_mono(PHI, p, mono), (p, mono)
 
     def test_compositions_in_lexicographic_order(self):
         for total in range(-1, 6):
