@@ -360,33 +360,55 @@ def suite_module(
     simplicity of M(h, d) on every monomial sample within the bounds, then
     the intertwining of the canonical module maps.
 
-    Each operator image is computed once per sample: the checks keep a table
-    of the images of the sample under h[k], h[k]h[l], x-[l], x+[k], the
-    Cartan currents, K^-1 and D^-1, filled up front with exactly the indices
-    the checks read, and the relation and weight checks all read from it.
-    Both sides of each identity are still computed separately.  Each check
-    runs once per sample and adds that sample's cases to its result.
+    Each weight-free image is computed once per monomial, and every other
+    image once per sample.  The Heisenberg generators h[k] and the lowering
+    generators x-[l] never read the weight h, so the images of a monomial
+    under h[k], h[k]h[l] and x-[l], and both sides of relation-h-xminus,
+    are the same elements on every M(h): they are computed once, then
+    wrapped as vectors of each M(h, d).  For each weight, a table adds the
+    images under x+[k], the Cartan currents, K^-1 and D^-1, with exactly
+    the indices the checks read.  Both sides of each identity are still
+    computed separately.  Each weight fills its own row of results, one
+    run per sample, and the rows are folded in weight order, so every count
+    and witness is where a loop over the weights would put it.
     """
-    rel_hh, rel_hx, rel_k, rel_d, rel_px, weight_dec, nilp, simple = sample_checks = [
-        Check("relation-h-h"), Check("relation-h-xminus"), Check("relation-K-conjugation"),
-        Check("relation-D-conjugation"), Check("relation-xplus-xminus"),
-        Check("weight-decomposition"), Check("local-nilpotency"), Check("simplicity-probe"),
-    ]
+    names = (
+        "relation-h-h", "relation-h-xminus", "relation-K-conjugation",
+        "relation-D-conjugation", "relation-xplus-xminus",
+        "weight-decomposition", "local-nilpotency", "simplicity-probe",
+    )
+    rows = [[Check(name) for name in names] for _ in weights]
+    modules = [DirectSum([HighestWeight(h, d)]) for h in weights]
     ks = range(comp_range[0], comp_range[1] + 1)
     nonzero_pairs = [(k, l) for k in ks if k != 0 for l in ks if l != 0]
     sums = sorted({k + l for k in ks for l in ks})
-    for h in weights:
-        M = DirectSum([HighestWeight(h, d)])
-        for mono in enumerate_all(max_length, window):
-            v = M.inject(0, Element.monomial(mono))
-            tag = f"h={h}, x{list(mono)}"
-            k0, d0 = len(mono), sum(mono)
+    nilp_range = range(NILPOTENCY_RANGE[0], NILPOTENCY_RANGE[1] + 1)
+    for mono in enumerate_all(max_length, window):
+        k0, d0 = len(mono), sum(mono)
 
-            # the per-sample table of operator images every check below reads
-            h_ = {k: act_h(k, v) for k in ks if k != 0}
-            hh = {(k, l): act_h(k, h_[l]) for k, l in nonzero_pairs}
-            xm = {l: act_xminus(l, v) for l in sorted({*ks, *sums})}
-            xp = {k: act_xplus(k, v) for k in ks}
+        # the weight-free table, computed once on the first module, whose
+        # weight h[k] and x-[l] never read; hh and hx hold the two sides
+        # that every M(h) compares
+        free = modules[0].inject(0, Element.monomial(mono))
+        free_h = {k: act_h(k, free) for k in ks if k != 0}
+        free_xm = {l: act_xminus(l, free) for l in sorted({*ks, *sums})}
+        hh = {(k, l): act_h(k, free_h[l]) for k, l in nonzero_pairs}
+        hx = {
+            (k, l): (act_h(k, free_xm[l]),
+                     act_xminus(l, free_h[k]) + free_xm[k + l] * _h_scalar(k))
+            for k, l in nonzero_pairs
+        }
+
+        for M, row in zip(modules, rows):
+            rel_hh, rel_hx, rel_k, rel_d, rel_px, weight_dec, nilp, simple = row
+            v = M.inject(0, free.element(0))
+            tag = f"h={M.weights[0].h}, x{list(mono)}"
+
+            # the weight-free images as vectors of M, and the per-sample
+            # table of the images that read the weight
+            h_, xm = ({i: M.inject(0, w.element(0)) for i, w in table.items()}
+                      for table in (free_h, free_xm))
+            xp = {k: act_xplus(k, v) for k in sorted({*ks, *nilp_range})}
             cc = {p: current_commutator(p, v) for p in sums}
             k_inv, d_inv = act_K(v, -1), act_D(v, -1)
 
@@ -397,7 +419,8 @@ def suite_module(
 
             def h_xminus(kl: tuple[int, int]) -> str | None:
                 k, l = kl
-                if act_h(k, xm[l]) != act_xminus(l, h_[k]) + xm[k + l] * _h_scalar(k):
+                lhs, rhs = hx[kl]
+                if lhs != rhs:
                     return f"[h_{k},x-_{l}] wrong on {tag}"
 
             def k_conjugation(k: int) -> str | None:
@@ -423,7 +446,9 @@ def suite_module(
                     return f"{gen}_{n} weight wrong on {tag}"
 
             def not_nilpotent(n: int) -> str | None:
-                if nilpotency_probe(n, v, k0 + 1) is None:
+                # (x+_n)^(k0+1) v = 0 when x+_n v is zero, or when k0 more
+                # raising steps kill it
+                if not (xp[n].is_zero or k0 > 0 and nilpotency_probe(n, xp[n], k0) is not None):
                     return f"(x+_{n})^{k0 + 1} nonzero on {tag}"
 
             gens = [("x-", xm, 1)] + ([("x+", xp, -1), ("h", h_, 0)] if mono else [])
@@ -435,12 +460,13 @@ def suite_module(
             weight_dec.run(
                 ((n, *gen) for n in ks for gen in gens if gen[0] != "h" or n != 0), off_weight
             )
-            nilp.run(range(NILPOTENCY_RANGE[0], NILPOTENCY_RANGE[1] + 1), not_nilpotent)
+            nilp.run(nilp_range, not_nilpotent)
             simple.run(
                 [v] if mono else [],
                 lambda sample: None if simplicity_probe(sample) is not None
                 else f"no raising path to the highest weight from {tag}",
             )
+    sample_checks = [Check.fold(name, (row[i] for row in rows)) for i, name in enumerate(names)]
 
     # intertwining of the tilde operators with canonical module maps
     # the swap control needs two distinct weights: a swap between equal ones

@@ -118,15 +118,18 @@ class NotInLatticeError(ValueError):
         self.witness = witness
 
 
-def _reduce(v: VermaVector, lat: LatticeDesc) -> tuple[list[ClassKey], dict[ClassKey, Fraction]]:
+def _reduce(
+    v: VermaVector, scales: dict[ClassKey, Coeff]
+) -> tuple[list[ClassKey], dict[ClassKey, Fraction]]:
     """One walk over the lattice coordinates of v (coefficients divided by
-    the generator scales): the coordinates with a pole at 0, and the image
-    of the others in L/qL as a rational combination of monomial classes."""
+    the generator scales, 1 where none is given): the coordinates with a
+    pole at 0, and the image of the others in L/qL as a rational
+    combination of monomial classes."""
     poles: list[ClassKey] = []
     out: dict[ClassKey, Fraction] = {}
     for i, e in v.components.items():
         for mono, c in e.items():
-            c = c / lat.scale(i, mono)
+            c = c / scales.get((i, mono), Coeff.one())
             if not c.is_regular_at_zero():
                 poles.append((i, mono))
             elif r := c.constant_at_zero():
@@ -137,7 +140,7 @@ def _reduce(v: VermaVector, lat: LatticeDesc) -> tuple[list[ClassKey], dict[Clas
 def reduce_mod_q(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Fraction]:
     """Image of a lattice vector in L/qL as a signed rational combination of
     monomial classes; raises NotInLatticeError with a witness on poles."""
-    poles, out = _reduce(v, lat)
+    poles, out = _reduce(v, lat.scales)
     if poles:
         raise NotInLatticeError(poles[0])
     return out
@@ -151,6 +154,9 @@ ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
 # without its component: None for zero, (sign, monomial), or why it is not
 # a class)
 _IMAGES: dict[tuple, tuple] = {}
+# the module of the one-component lift an image is computed on; the tilde
+# operators never read its weight
+_LIFT_AMBIENT = (HighestWeight(1),)
 
 
 def _signed_monomial(reduced: dict[ClassKey, Fraction]) -> tuple[int, Monomial] | str | None:
@@ -173,9 +179,11 @@ def _tilde_image(op: str, m: int, sign: int, mono: Monomial, scales: frozenset) 
     `_IMAGES`.  The operator acts on a one-component lift whose weight it
     never reads.  The poles are a tuple, as `memo` reads a list as the keys
     still needed."""
-    lat = LatticeDesc((HighestWeight(1),), 0, (0, 0), {(0, w): c for w, c in scales})
+    table = {(0, w): c for w, c in scales}
+    scale = table.get((0, mono), Coeff.one())
+    lift = VermaVector(_LIFT_AMBIENT, {0: Element({mono: scale * sign})})
     apply = act_xminus if op == "xminus" else tilde_omega
-    poles, reduced = _reduce(apply(m, lat.lift(CrystalClass(sign, mono, 0))), lat)
+    poles, reduced = _reduce(apply(m, lift), table)
     return tuple(w for _, w in poles), None if poles else _signed_monomial(reduced)
 
 

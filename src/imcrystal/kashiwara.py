@@ -22,6 +22,11 @@ bottom-up through `qalgebra.memo`, which computes the components on the
 rest of a monomial first, so a word of any length takes no Python frame
 per factor.
 
+Both families are homogeneous in gamma: every term of psi(p)(w) is gamma^p
+times its value at gamma = 1, and every term of phi(p)(w) is gamma^-p times
+it, since the delta term carries exactly that power and the kernel term
+gamma^r meets psi(p - r), or phi(p + r), on the rest.
+
 A closed summation formula for the psi family over deletion slots and
 compositions is kept as an independent cross-check oracle, and a checker
 verifies the defining operator relations of the algebra generated by the

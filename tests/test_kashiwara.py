@@ -1,6 +1,7 @@
 """Annihilation operators: recursion, closed-formula oracle, relations."""
 
 import inspect
+import random
 import sys
 from functools import partial
 from itertools import product
@@ -143,6 +144,34 @@ class TestClosedFormula:
         # in front contributes q^-2
         runs = sum((Coeff.q_power(-4 * j) for j in range(n - 1)), Coeff.zero())
         assert phi == Element({mono[:-1]: Coeff.q_power(-4) * runs})
+
+
+class TestInvariants:
+    def test_gamma_homogeneity(self):
+        # every term of a psi(p) image carries gamma^p, every term of a phi(p)
+        # image gamma^-p, times its value at gamma = 1
+        cases = [
+            (kind, p, mono)
+            for kind in (PSI, PHI) for mono in enumerate_all(4, (-3, 3)) for p in range(-7, 8)
+        ]
+        assert len(cases) == 9900
+        for kind, p, mono in cases:
+            gp = Coeff.gamma_power(2 * (p if kind == PSI else -p))
+            for _, c in omega_mono(kind, p, mono).items():
+                assert c == c.specialize_gamma_one() * gp, (kind, p, mono)
+
+    def test_serre_compatibility(self, cold):
+        # the recursion run on a word that is not normal gives the image of
+        # its normal form, so it is well defined on the quotient by the Serre
+        # relations; the raw words' entries stay out of other tests
+        cold(kashiwara._OMEGA_CACHE)
+        rng = random.Random(20)
+        for _ in range(3000):
+            word = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+            p = rng.randint(-5, 5)
+            normal = normalize_word(word)
+            for kind in (PSI, PHI):
+                assert omega_mono(kind, p, word) == omega_apply(kind, p, normal), (kind, p, word)
 
 
 class TestSupport:

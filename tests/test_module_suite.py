@@ -1,8 +1,9 @@
-"""`verify module`'s per-sample image table against the loop it replaced.
+"""`verify module`'s image tables against the loop they replaced.
 
 `suite_module_per_sample_uncached` is the per-sample loop of
-`cli.suite_module` before the table: it recomputes every operator image at
-each use and builds `A - B` for each commutator.  It reads `_h_scalar` and
+`cli.suite_module` before the tables, with the weights outermost: it
+recomputes every operator image at each use, on each weight, and builds
+`A - B` for each commutator.  It reads `_h_scalar` and
 `current_commutator` through the `cli` module, so a monkeypatched fault
 reaches the oracle and the suite alike.
 """
@@ -159,13 +160,45 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
 
 def test_each_image_computed_once_per_sample(monkeypatch):
-    # the counts of one small run with the per-sample table; the loop without
-    # it made 996, 1520, 1452 and 180 calls at these bounds
+    # the counts of one small run with the weight-free table per monomial and
+    # the per-sample table; the loop without either made 996, 1520, 1452 and
+    # 180 calls at these bounds, and the per-sample table alone 680, 1100,
+    # 1218 and 100
     counts = _count_calls(monkeypatch)
     cli.suite_module(**SMALL)
     assert counts == {
-        "act_h": 680,
-        "act_xminus": 1100,
-        "act_xplus": 1218,
+        "act_h": 580,
+        "act_xminus": 1010,
+        "act_xplus": 1158,
         "current_commutator": 100,
     }
+
+
+def test_weight_free_images_are_computed_once_per_monomial(monkeypatch):
+    # a second weight adds no h[k] image and no weight-free x-[l] image; its
+    # only x- calls act on K^-1 v and D^-1 v (3 + 3) and on the x+ images
+    # (3 x 3), which read the weight: 15 for each of the 10 monomials.  The
+    # intertwining samples are the same for both weight lists.
+    counts = _count_calls(monkeypatch)
+    cli.suite_module(**{**SMALL, "weights": (1,)})
+    one = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    cli.suite_module(**SMALL)
+    assert (counts["act_h"], counts["act_xminus"]) == (one["act_h"], one["act_xminus"] + 150)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_h_and_xminus_do_not_read_the_weight(d):
+    # the premise of the weight-free table: h[k], x-[l] and D^-1 give the
+    # same element on M(1), M(2) and M(-1)
+    modules = [DirectSum([HighestWeight(h, d)]) for h in (1, 2, -1)]
+    ks = range(-2, 3)
+    for mono in enumerate_all(3, (-2, 2)):
+        vs = [M.inject(0, Element.monomial(mono)) for M in modules]
+        images = [
+            [act_h(k, v).element(0) for k in ks if k != 0]
+            + [act_xminus(l, v).element(0) for l in ks]
+            + [act_D(v, -1).element(0)]
+            for v in vs
+        ]
+        assert images[0] == images[1] == images[2], mono
