@@ -25,7 +25,12 @@ per factor.
 Both families are homogeneous in gamma: every term of psi(p)(w) is gamma^p
 times its value at gamma = 1, and every term of phi(p)(w) is gamma^-p times
 it, since the delta term carries exactly that power and the kernel term
-gamma^r meets psi(p - r), or phi(p + r), on the rest.
+gamma^r meets psi(p - r), or phi(p + r), on the rest.  So the memo table
+holds the operators at gamma = 1 (the series term alone as the kernel,
+coefficient 1 on the delta term), and gamma^(+-p) is restored when it is
+read, as one shift of the gamma exponent of each term of the image.  The
+bilinear form and the module actions live at gamma = 1 and read the table
+directly.
 
 A closed summation formula for the psi family over deletion slots and
 compositions is kept as an independent cross-check oracle, and a checker
@@ -57,23 +62,22 @@ PHI = "phi"
 
 
 _SIGN = {PSI: 1, PHI: -1}
+_ONE = Coeff.one()
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}
 
 
 @memo({})
 def _kernel(sign: int, r: int) -> Coeff:
-    """g_coeff(r) gamma^r for sign 1, g_coeff_bar(r) gamma^r for sign -1:
-    q^(2 sign) for r = 0, else q^(sign(2r+2)) - q^(sign(2r-2)) times gamma^r."""
+    """g_coeff(r) for sign 1, g_coeff_bar(r) for sign -1: q^(2 sign) for
+    r = 0, else q^(sign(2r+2)) - q^(sign(2r-2))."""
     if r == 0:
         return Coeff.q_power(4 * sign)
-    return (Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))) * (
-        Coeff.gamma_power(2 * r)
-    )
+    return Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))
 
 
 @memo(_OMEGA_CACHE)
-def omega_mono(kind: str, p: int, mono: Monomial) -> Element | list:
-    """Apply one annihilation-operator component to a normal monomial.
+def _omega_one(kind: str, p: int, mono: Monomial) -> Element | list:
+    """One annihilation-operator component on a monomial, at gamma = 1.
 
     The body returns the keys of the components on the rest of the monomial
     that it still needs, and `memo` computes those first; callers always
@@ -90,9 +94,9 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element | list:
     missing = [key for key in subs if key not in _OMEGA_CACHE]
     if missing:
         return missing
-    pieces: list[tuple[Element, Coeff]] = []
+    pieces: list[tuple[Element, Coeff | None]] = []
     if p == -m:
-        pieces.append((normalize_word(rest), Coeff.gamma_power(2 * sign * p)))
+        pieces.append((normalize_word(rest), None))
     for r, key in enumerate(subs):
         c = _kernel(sign, r)
         pieces.extend(
@@ -102,9 +106,32 @@ def omega_mono(kind: str, p: int, mono: Monomial) -> Element | list:
     return _linear_sum(pieces)
 
 
+def _times_gamma(e: Element, halfexp: int) -> Element:
+    """e * gamma^(halfexp/2), by a shift of the gamma exponent of each term."""
+    return Element._of({m: c.gamma_shift(halfexp) for m, c in e._terms.items()}) if halfexp else e
+
+
+def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
+    """Apply one annihilation-operator component to a normal monomial."""
+    return _times_gamma(_omega_one(kind, p, mono), 2 * _SIGN[kind] * p)
+
+
 def omega_apply(kind: str, p: int, e: Element) -> Element:
-    """Linear extension over an element; gamma in coefficients commutes."""
-    return _linear_sum((omega_mono(kind, p, mono), c) for mono, c in e._terms.items())
+    """Linear extension over an element; gamma in coefficients commutes, so
+    the sum is taken at gamma = 1 and gamma^(+-p) is restored once, on it."""
+    if len(e._terms) == 1:
+        # a monomial reads its image: no sum to take
+        (mono, c), = e._terms.items()
+        if c == _ONE:
+            return omega_mono(kind, p, mono)
+    # an unknown kind has raised in _omega_one, unless e is zero
+    return _times_gamma(omega_at_one(kind, p, e), 2 * _SIGN.get(kind, 0) * p)
+
+
+def omega_at_one(kind: str, p: int, e: Element) -> Element:
+    """The image of a gamma-free e at gamma = 1; on any e, omega_apply(kind,
+    p, e) without its factor gamma^(+-p)."""
+    return _linear_sum((_omega_one(kind, p, mono), c) for mono, c in e._terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +241,7 @@ def _residual(relation: str, comps: tuple[int, ...], e: Element) -> Element:
             if mono:
                 rmax = max(rmax, k + max(mono))
         for r in range(rmax + 1):
-            c = _kernel(-1, r) * _gam(r)
+            c = _kernel(-1, r) * _gam(2 * r)
             out = out - omega_apply(PHI, m + r, omega_apply(PSI, k - r, e)) * c
         return out
     if relation == "serre-x":

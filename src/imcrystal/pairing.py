@@ -8,7 +8,8 @@ multiplication and the psi-side annihilation operators:
 So (x[m_1]...x[m_k], b) = (1, psi(-m_k)...psi(-m_1) b): evaluation is a
 chain that applies psi(-m) to b for each factor m of the first argument,
 left to right, and then reads off the coefficient of the empty monomial.
-Everything here lives at gamma = 1.  Monomials of different weights pair
+Everything here lives at gamma = 1: each step reads the gamma = 1 table of
+the annihilation operators directly.  Monomials of different weights pair
 to zero, the Gram matrix of any fixed weight is congruent to the identity
 modulo q^2, and an element u belongs to the crystal lattice exactly when
 all its pairings against normal monomial vectors are regular at 0; the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
 from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial, memo
-from .kashiwara import PSI, omega_apply
+from .kashiwara import PSI, omega_at_one
 
 _PAIR_CACHE: dict[tuple[Monomial, Monomial], Coeff] = {}
 
@@ -31,7 +32,7 @@ def _pair_word(ma: Monomial, b: Element) -> Coeff:
     """(x_ma, b): the psi chain of ma over the whole of b, so the terms of b
     share every step."""
     for m in ma:
-        b = omega_apply(PSI, -m, b).specialize_gamma_one()
+        b = omega_at_one(PSI, -m, b)
     return b.coefficient(())
 
 

@@ -505,6 +505,11 @@ class Coeff:
     def is_gamma_free(self) -> bool:
         return not any(g for g, _ in self._t)
 
+    def gamma_shift(self, halfexp: int) -> Coeff:
+        """self * gamma^(halfexp/2): the gamma half-exponent of each term
+        moves by halfexp, which keeps the canonical form."""
+        return _hot({(g + halfexp, e): v for (g, e), v in self._t.items()}, self._d, self._D)
+
     def __repr__(self) -> str:
         return f"Coeff({format_coeff(self)!r})"
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 from .check import Check
 from .qcoeff import Coeff
 from .qalgebra import Element, Monomial, _linear_sum, format_element, memo, normalize_word
-from .kashiwara import PSI, _compositions, omega_apply
+from .kashiwara import PSI, _compositions, omega_at_one
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,7 @@ def act_xminus(n: int, v: VermaVector) -> VermaVector:
 
 def tilde_omega(m: int, v: VermaVector) -> VermaVector:
     """Tilde annihilation operator: componentwise, at gamma = 1."""
-    return v.map_components(
-        lambda i, e: omega_apply(PSI, m, e).specialize_gamma_one()
-    )
+    return v.map_components(lambda i, e: omega_at_one(PSI, m, e))
 
 
 def _extend(v: VermaVector, image: Callable[[Monomial, HighestWeight], Element]) -> VermaVector:

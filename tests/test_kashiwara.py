@@ -3,7 +3,7 @@
 import inspect
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import prod
 
@@ -20,6 +20,7 @@ from imcrystal.kashiwara import (
     _kernel,
     check_kashiwara_relation,
     omega_apply,
+    omega_at_one,
     omega_mono,
     omega_psi_closed,
 )
@@ -46,10 +47,49 @@ def omega_phi_closed(p, mono):
     )
 
 
+@cache
+def gamma_kernel(sign, r):
+    """The kernel of the recursion with gamma kept: q^(2 sign) for r = 0,
+    else q^(sign(2r+2)) - q^(sign(2r-2)) times gamma^r."""
+    if r == 0:
+        return Coeff.q_power(4 * sign)
+    return (Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))) * (
+        Coeff.gamma_power(2 * r)
+    )
+
+
+@cache
+def omega_gamma(kind, p, mono):
+    """The component recursion with gamma kept, as the module docstring
+    states it, kept as an oracle for the gamma = 1 table: the kernel carries
+    gamma^r and the delta term gamma^(sign p)."""
+    if not mono:
+        return Element.zero()
+    sign = 1 if kind == PSI else -1
+    m, rest = mono[0], mono[1:]
+    rmax = sign * p + (max(rest) if sign > 0 else -min(rest)) if rest else -1
+    pieces = [(normalize_word(rest), Coeff.gamma_power(2 * sign * p))] if p == -m else []
+    for r in range(rmax + 1):
+        c = gamma_kernel(sign, r)
+        pieces.extend(
+            (normalize_word((m + sign * r,) + w), d * c)
+            for w, d in omega_gamma(kind, p - sign * r, rest)._terms.items()
+        )
+    return _linear_sum(pieces)
+
+
+HOMOGENEITY_CASES = [
+    (kind, p, mono)
+    for kind in (PSI, PHI) for mono in enumerate_all(4, (-3, 3)) for p in range(-7, 8)
+]
+
+
 @pytest.mark.parametrize("sign,series", [(1, g_coeff), (-1, g_coeff_bar)])
 def test_kernel_is_the_series_term_times_gamma(sign, series):
+    # the table's kernel is the series term alone; the oracle's carries gamma^r
     for r in range(12):
-        assert _kernel(sign, r) == Coeff.from_qrat(series(r), 2 * r)
+        assert _kernel(sign, r) == Coeff.from_qrat(series(r))
+        assert gamma_kernel(sign, r) == Coeff.from_qrat(series(r), 2 * r)
 
 
 class TestRecursionExamples:
@@ -149,16 +189,37 @@ class TestClosedFormula:
 class TestInvariants:
     def test_gamma_homogeneity(self):
         # every term of a psi(p) image carries gamma^p, every term of a phi(p)
-        # image gamma^-p, times its value at gamma = 1
-        cases = [
-            (kind, p, mono)
-            for kind in (PSI, PHI) for mono in enumerate_all(4, (-3, 3)) for p in range(-7, 8)
-        ]
-        assert len(cases) == 9900
-        for kind, p, mono in cases:
+        # image gamma^-p, times its value at gamma = 1; asserted on the
+        # recursion with gamma kept, since the table assumes it
+        assert len(HOMOGENEITY_CASES) == 9900
+        for kind, p, mono in HOMOGENEITY_CASES:
             gp = Coeff.gamma_power(2 * (p if kind == PSI else -p))
-            for _, c in omega_mono(kind, p, mono).items():
+            for _, c in omega_gamma(kind, p, mono).items():
                 assert c == c.specialize_gamma_one() * gp, (kind, p, mono)
+
+    def test_table_read_matches_the_gamma_recursion(self):
+        for kind, p, mono in HOMOGENEITY_CASES:
+            assert omega_mono(kind, p, mono) == omega_gamma(kind, p, mono), (kind, p, mono)
+
+    def test_gamma_one_reader_matches_specialization(self):
+        # seeded sums of normal monomials with q-power coefficients; on
+        # gamma-carrying coefficients omega_apply still equals the sum of the
+        # monomial images
+        rng = random.Random(21)
+        monos = enumerate_all(4, (-3, 3))
+        for _ in range(300):
+            terms = {
+                mono: Coeff.q_power(rng.randint(-4, 4)) * rng.choice((-2, -1, 1, 3))
+                for mono in rng.sample(monos, rng.randint(2, 6))
+            }
+            e = Element(terms)
+            kind, p = rng.choice((PSI, PHI)), rng.randint(-7, 7)
+            assert omega_at_one(kind, p, e) == omega_apply(kind, p, e).specialize_gamma_one()
+            g = Element({mono: c * Coeff.gamma_power(rng.randint(-3, 3))
+                         for mono, c in terms.items()})
+            assert omega_apply(kind, p, g) == _linear_sum(
+                (omega_mono(kind, p, mono), c) for mono, c in g._terms.items()
+            ), (kind, p, g)
 
     def test_serre_compatibility(self, cold):
         # the recursion run on a word that is not normal gives the image of

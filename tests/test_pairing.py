@@ -51,6 +51,18 @@ def pair_double_loop(a, b):
     ).coefficient(())
 
 
+def pair_gamma_chain(a, b):
+    """The chain as it ran on the operators with gamma kept, as an oracle for
+    the gamma = 1 table: psi(-m) with gamma, then specialized, at each step."""
+    total = Coeff.zero()
+    for ma, ca in a._terms.items():
+        e = b
+        for m in ma:
+            e = omega_apply(PSI, -m, e).specialize_gamma_one()
+        total = total + ca * e.coefficient(())
+    return total
+
+
 def _bench_pair_words(rng):
     """A word and a permutation of it, drawn as the benchmark's `pair`
     requests are: 1-6 factors over x[-3..3]."""
@@ -164,6 +176,24 @@ class TestChain:
             lhs, rhs = a + c * Q2, b * Coeff.rational(-2) + d
             assert pair(lhs, rhs) == pair_double_loop(lhs, rhs)
             assert pair(rhs, lhs) == pair_double_loop(rhs, lhs)
+
+    def test_matches_the_gamma_chain(self, cold):
+        cold(pairing._PAIR_CACHE)
+        rng = random.Random(20181206)
+        draws = [_bench_pair_words(rng) for _ in range(60)]
+        sums = [
+            (a + c * Q2, b * Coeff.rational(-2) + d)
+            for (a, b), (c, d) in zip(draws[::2], draws[1::2])
+        ]
+        for a, b in draws + sums:
+            for u, v in ((a, b), (b, a)):
+                assert pair(u, v) == pair_gamma_chain(u, v), (u, v)
+        for a, b in draws:
+            for ma in a._terms:
+                for mb in b._terms:
+                    for u, v in ((ma, mb), (mb, ma)):
+                        expected = pair_gamma_chain(Element({u: ONE}), Element({v: ONE}))
+                        assert _pair_monos(u, v) == expected, (u, v)
 
     def test_no_self_call(self, monkeypatch, cold):
         chain = pairing._pair_monos
