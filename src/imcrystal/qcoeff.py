@@ -21,28 +21,33 @@ quotients by monomials divide out only an integer factor, and only when d
 is not 1, and no step builds a dense polynomial or a ``Fraction``.  Only
 the parser's division by a non-monomial scalar, or a ``QRat`` with a
 denominator, makes a D of positive degree; a polynomial gcd then cancels
-the common factor.  ``Coeff.items()`` reads the value as sorted
-``(gamma_halfexp, QRat)`` pairs.
+the common factor.  A gamma-homogeneous divisor is inverted in closed
+form.  ``Coeff.items()`` reads the value as sorted ``(gamma_halfexp, QRat)``
+pairs.
 
-``QRat`` is the public form of one rational function of s, stored
-q-adically as
+``QRat`` is the public view of one gamma-free ``Coeff``, a rational
+function of s, stored q-adically as
 
     scale * s^shift * num(s) / den(s)
 
 where ``scale`` is a nonzero rational, ``shift`` counts half powers of q,
 and ``num``/``den`` are coprime primitive integer polynomials with nonzero
-constant term and positive leading coefficient.  ``_canon`` brings every
-result to this form, which is unique, and ``shift`` is exactly the q-adic
-valuation used for regularity-at-zero tests.
+constant term and positive leading coefficient.  This form is unique, and
+``shift`` is exactly the q-adic valuation used for regularity-at-zero
+tests.  ``QRat`` has no arithmetic of its own: its operators compute on
+the ``Coeff``s of their operands and read the result back from the
+``Coeff`` form, with content over d as scale, the lowest exponent as
+shift, and D less the factor it shares with that term as den.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -53,13 +58,6 @@ class CoefficientError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # integer polynomials in s, ascending coefficient tuples, () is zero
-
-
-def _ptrim(p: Iterable[int]) -> tuple[int, ...]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -100,7 +98,7 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                 break
         fa, fb = fb, fa
     lcm = math.lcm(*(x.denominator for x in fa))
-    ints = _ptrim(int(x * lcm) for x in fa)
+    ints = [int(x * lcm) for x in fa]
     c = math.gcd(*ints)
     if ints[-1] < 0:
         c = -c
@@ -108,7 +106,7 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# QRat: one rational function in s
+# QRat: one rational function in s, computed through Coeff
 
 
 @dataclass(frozen=True)
@@ -132,24 +130,18 @@ class QRat:
 
     @staticmethod
     def rational(x: Rational) -> QRat:
-        return _canon(Fraction(x), 0, (1,), (1,))
+        return _qrat(Coeff.rational(x))
 
     @staticmethod
     def q_power(halfexp: int) -> QRat:
         """q^(halfexp/2), e.g. q_power(4) is q**2."""
-        return _canon(Fraction(1), halfexp, (1,), (1,))
+        return _qrat(Coeff.q_power(halfexp))
 
     @staticmethod
     def from_laurent(terms: dict[int, Rational]) -> QRat:
         """Laurent polynomial given as {half-exponent: rational coefficient}."""
-        nonzero = {e: Fraction(c) for e, c in terms.items() if c}
-        if not nonzero:
-            return _QRAT_ZERO
-        shift = min(nonzero)
-        coeffs = [Fraction(0)] * (max(nonzero) - shift + 1)
-        for e, c in nonzero.items():
-            coeffs[e - shift] = c
-        return _canon_frac(coeffs, (1,), shift)
+        return _qrat(sum((Coeff.rational(c) * Coeff.q_power(e) for e, c in terms.items()),
+                         Coeff.zero()))
 
     # -- predicates ----------------------------------------------------------
 
@@ -160,64 +152,26 @@ class QRat:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic, in Coeff at gamma^0 --------------------------------------
 
     def __neg__(self) -> QRat:
-        if self.is_zero:
-            return self
-        return QRat(-self.scale, self.shift, self.num, self.den)
+        return _qrat(-Coeff.from_qrat(self))
 
     def __add__(self, other: QRat) -> QRat:
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        shift = min(self.shift, other.shift)
-        n1 = [self.scale * c for c in _pmul(self.num, other.den)]
-        n2 = [other.scale * c for c in _pmul(other.num, self.den)]
-        coeffs = [Fraction(0)] * max(len(n1) + self.shift - shift, len(n2) + other.shift - shift)
-        for i, c in enumerate(n1):
-            coeffs[i + self.shift - shift] += c
-        for i, c in enumerate(n2):
-            coeffs[i + other.shift - shift] += c
-        return _canon_frac(coeffs, _pmul(self.den, other.den), shift)
+        return _in_coeff(operator.add, self, other)
 
     def __sub__(self, other: QRat) -> QRat:
-        return self + (-other)
+        return _in_coeff(operator.sub, self, other)
 
     def __mul__(self, other: QRat) -> QRat:
-        if self is _QRAT_ONE:
-            return other
-        if other is _QRAT_ONE:
-            return self
-        if not self.scale or not other.scale:
-            return _QRAT_ZERO
-        return _canon(
-            self.scale * other.scale,
-            self.shift + other.shift,
-            _pmul(self.num, other.num),
-            _pmul(self.den, other.den),
-        )
+        return _in_coeff(operator.mul, self, other)
 
     def __truediv__(self, other: QRat) -> QRat:
-        if other.is_zero:
-            raise CoefficientError("division by zero")
-        if self.is_zero:
-            return _QRAT_ZERO
-        return _canon(
-            self.scale / other.scale,
-            self.shift - other.shift,
-            _pmul(self.num, other.den),
-            _pmul(self.den, other.num),
-        )
+        return _in_coeff(operator.truediv, self, other)
 
     def __pow__(self, n: int) -> QRat:
-        if n < 0:
-            return _QRAT_ONE / self ** (-n)
-        out = _QRAT_ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        c = math.prod([Coeff.from_qrat(self)] * abs(n), start=Coeff.one())
+        return _qrat(c if n >= 0 else Coeff.one() / c)
 
     # -- inspection ----------------------------------------------------------
 
@@ -238,43 +192,32 @@ _QRAT_ZERO = QRat(Fraction(0), 0, (1,), (1,))
 _QRAT_ONE = QRat(Fraction(1), 0, (1,), (1,))
 
 
-def _canon(scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ...]) -> QRat:
-    num = _ptrim(num)
-    den = _ptrim(den)
-    if not den:
-        raise CoefficientError("division by zero")
-    if not num or scale == 0:
-        return _QRAT_ZERO
-    while num[0] == 0:
-        num = num[1:]
-        shift += 1
-    while den[0] == 0:
-        den = den[1:]
-        shift -= 1
-    cn = math.gcd(*num)
-    if num[-1] < 0:
-        cn = -cn
-    if cn != 1:
-        scale *= cn
-        num = tuple(x // cn for x in num)
-    cd = math.gcd(*den)
-    if den[-1] < 0:
-        cd = -cd
-    if cd != 1:
-        scale /= cd
-        den = tuple(x // cd for x in den)
-    if den != (1,) and num != (1,):
-        g = _pgcd(num, den)
-        if g != (1,):
-            # exact, primitive and with positive leading terms, by Gauss's lemma
-            num = _pquo(num, g)
-            den = _pquo(den, g)
-    return QRat(scale, shift, num, den)
+def _in_coeff(op, a: QRat, b: object) -> QRat:
+    """op on the Coeffs of a and b, read back; NotImplemented unless b is a
+    QRat, so that a Coeff operand takes the Coeff operator."""
+    if not isinstance(b, QRat):
+        return NotImplemented
+    return _qrat(op(Coeff.from_qrat(a), Coeff.from_qrat(b)))
 
 
-def _canon_frac(coeffs: list[Fraction], den: tuple[int, ...], shift: int) -> QRat:
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return _canon(Fraction(1, lcm), shift, _ptrim(int(c * lcm) for c in coeffs), den)
+def _qrat(c: Coeff) -> QRat:
+    """The gamma-free value c as a QRat."""
+    return dict(c.items()).get(0, _QRAT_ZERO)
+
+
+def _qrat_term(pairs: list[tuple[int, int]], d: int, D: tuple[int, ...], shared: bool) -> QRat:
+    """One gamma term of N / (d * D), given as ascending (e, v) pairs: its
+    content, with the sign of its top value, over d is the scale and its
+    lowest exponent the shift.  D is prime to all gamma terms together, so
+    to the only one as it is; when N has others too, the factor D shares
+    with this term is cancelled."""
+    c = _content(pairs)
+    num = tuple(v // c for v in _poly(pairs))
+    if shared and D is not _ONE:
+        g = _pgcd(num, D)
+        # exact, primitive and with positive leading terms, by Gauss's lemma
+        num, D = _pquo(num, g), _pquo(D, g)
+    return QRat(Fraction(c, d), pairs[0][0], num, D)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +297,8 @@ class Coeff:
 
     @staticmethod
     def rational(x: Rational) -> Coeff:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an int or a Fraction: {x!r}")
         x = Fraction(x)
         return _hot({(0, 0): x.numerator} if x else {}, x.denominator)
 
@@ -393,9 +338,9 @@ class Coeff:
         return hash((frozenset(self._t.items()), self._d, self._D))
 
     def items(self) -> Iterator[tuple[int, QRat]]:
-        d, D = Fraction(1, self._d), self._D
-        return iter([(g, _canon(d, pairs[0][0], _poly(pairs), D))
-                     for g, pairs in _by_gamma(self._t).items()])
+        terms = _by_gamma(self._t)
+        return iter([(g, _qrat_term(pairs, self._d, self._D, len(terms) > 1))
+                     for g, pairs in terms.items()])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -471,8 +416,10 @@ class Coeff:
             m = other._d if v0 > 0 else -other._d
             t = {(g - g0, e - e0): v * m for (g, e), v in self._t.items()}
             return _reduced(t, self._d * abs(v0), self._D)
-        (g0, r0), = other.items()
-        return self * Coeff({-g0: QRat.one() / r0})
+        # by r gamma^g: multiply by 1/r gamma^-g, where 1/r swaps num and den
+        # and inverts the scale, so it is canonical as built
+        (g, r), = other.items()
+        return self * _of_qrat(QRat(1 / r.scale, -r.shift, r.den, r.num), -g)
 
     # -- inspection ----------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """The check runner, the rule that only `check.py` keeps a check's books,
 the rule that `Check` is the one result record, the rule that `src/` holds
-no name that only tests use, and the rule that no function but
-`qalgebra.memo` writes a memo table."""
+no name that only tests use, the rule that no function but `qalgebra.memo`
+writes a memo table, and the benchmark tracer's hold on the names it
+traces."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -201,6 +204,25 @@ def test_no_library_name_is_only_for_tests():
         for part in node.value.split(".")
     }
     assert _unused(modules, set(imcrystal.__all__) | traced) == []
+
+
+def test_the_tracer_finds_every_traced_name(monkeypatch):
+    # install() looks each name up in its class or module body and rebinds
+    # it wherever the package binds it; a moved or renamed method fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        names = [module.metric_prefix(m, attr) for m, attrs in module.TRACED.items()
+                 for attr in attrs]
+        assert tracer.names == names
+        assert len({id(fn) for _, _, fn in tracer._bindings}) == len(names)
+    finally:
+        tracer.uninstall()
+    assert not tracer._bindings
 
 
 def test_the_guard_sees_each_kind_of_name():

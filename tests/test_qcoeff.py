@@ -1,6 +1,12 @@
-"""Coefficient ring: examples, canonical form, valuations, series identities."""
+"""Coefficient ring: examples, canonical form, valuations, series identities.
+
+QRat computes through Coeff, so the reference below is QRat's own arithmetic
+as it was before: the canonical form built on the four fields, with its own
+polynomial gcd.  It reads no Coeff and no helper of qcoeff.
+"""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -11,7 +17,6 @@ from imcrystal.qcoeff import (
     CoefficientError,
     QRat,
     _ONE,
-    _canon,
     _pmul,
     congruent_mod_q2,
     format_coeff,
@@ -19,6 +24,135 @@ from imcrystal.qcoeff import (
     g_coeff_bar,
     quantum_int,
 )
+
+
+# ---------------------------------------------------------------------------
+# the reference arithmetic on the fields scale, shift, num and den
+
+
+def naive_pmul(a, b):
+    """Dense schoolbook product, trimmed; the reference for _pmul."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_gcd(a, b):
+    """Primitive gcd with a positive top coefficient of two ascending integer
+    polynomials, by Euclid's algorithm over the rationals; () if both are 0."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        while len(a) >= len(b):  # a mod b
+            c, off = a[-1] / b[-1], len(a) - len(b)
+            for j, y in enumerate(b):
+                a[off + j] -= c * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return ()
+    ints = [int(x * math.lcm(*(y.denominator for y in a))) for x in a]
+    c = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return tuple(x // c for x in ints)
+
+
+def ref_quo(a, b):
+    """a / b for integer polynomials where b divides a with integer quotient."""
+    rem, out = [Fraction(x) for x in a], []
+    while len(rem) >= len(b):
+        c, off = rem[-1] / b[-1], len(rem) - len(b)
+        out.append(c)
+        for j, y in enumerate(b):
+            rem[off + j] -= c * y
+        rem.pop()
+    assert not any(rem) and all(c.denominator == 1 for c in out)
+    return tuple(int(c) for c in reversed(out))
+
+
+def canon(scale, shift, num, den):
+    """scale * s^shift * num / den in the canonical form of the module
+    docstring: the old QRat normaliser."""
+    num, den = naive_pmul(num, (1,)), naive_pmul(den, (1,))  # trimmed
+    if not den:
+        raise CoefficientError("division by zero")
+    if not num or scale == 0:
+        return QRat.zero()
+    while num[0] == 0:
+        num, shift = num[1:], shift + 1
+    while den[0] == 0:
+        den, shift = den[1:], shift - 1
+    cn = math.gcd(*num) if num[-1] > 0 else -math.gcd(*num)
+    cd = math.gcd(*den) if den[-1] > 0 else -math.gcd(*den)
+    num, den = tuple(x // cn for x in num), tuple(x // cd for x in den)
+    g = ref_gcd(num, den) if den != (1,) and num != (1,) else (1,)
+    return QRat(Fraction(scale) * cn / cd, shift, ref_quo(num, g), ref_quo(den, g))
+
+
+def canon_frac(coeffs, den, shift):
+    """Rational coefficients from s^shift up, over the polynomial den."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return canon(Fraction(1, lcm), shift, [int(c * lcm) for c in coeffs], den)
+
+
+def ref_laurent(terms):
+    """The old QRat.from_laurent of {half-exponent: rational}."""
+    nonzero = {e: Fraction(c) for e, c in terms.items() if c}
+    if not nonzero:
+        return QRat.zero()
+    shift = min(nonzero)
+    coeffs = [Fraction(0)] * (max(nonzero) - shift + 1)
+    for e, c in nonzero.items():
+        coeffs[e - shift] = c
+    return canon_frac(coeffs, (1,), shift)
+
+
+def canon_sum(a, b):
+    """a + b: the old QRat.__add__."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    shift = min(a.shift, b.shift)
+    n1 = [a.scale * c for c in naive_pmul(a.num, b.den)]
+    n2 = [b.scale * c for c in naive_pmul(b.num, a.den)]
+    coeffs = [Fraction(0)] * max(len(n1) + a.shift - shift, len(n2) + b.shift - shift)
+    for i, c in enumerate(n1):
+        coeffs[i + a.shift - shift] += c
+    for i, c in enumerate(n2):
+        coeffs[i + b.shift - shift] += c
+    return canon_frac(coeffs, naive_pmul(a.den, b.den), shift)
+
+
+def ref_neg(a):
+    return QRat(-a.scale, a.shift, a.num, a.den)
+
+
+def canon_product(a, b):
+    """a * b: the old QRat.__mul__."""
+    return canon(a.scale * b.scale, a.shift + b.shift,
+                 naive_pmul(a.num, b.num), naive_pmul(a.den, b.den))
+
+
+def canon_quotient(a, b):
+    """a / b: the old QRat.__truediv__."""
+    if b.is_zero:
+        raise CoefficientError("division by zero")
+    return canon(a.scale / b.scale, a.shift - b.shift,
+                 naive_pmul(a.num, b.den), naive_pmul(a.den, b.num))
+
+
+def ref_pow(a, n):
+    """a ** n: the old QRat.__pow__."""
+    if n < 0:
+        return canon_quotient(QRat.one(), ref_pow(a, -n))
+    out = QRat.one()
+    for _ in range(n):
+        out = canon_product(out, a)
+    return out
 
 
 def laurent(terms):
@@ -56,6 +190,41 @@ class TestQRatExamples:
         with pytest.raises(CoefficientError):
             QRat.one() / QRat.zero()
 
+    def test_no_negative_power_of_zero(self):
+        with pytest.raises(CoefficientError):
+            QRat.zero() ** -1
+
+
+class TestOperands:
+    def test_qrat_times_coeff_is_coeff_times_qrat(self):
+        c = Coeff.gamma_power(1) + Coeff.q_power(-3) * Coeff.rational(Fraction(1, 3))
+        for r in (QRat.one(), QRat.rational(2), QRat.one() / laurent({0: 1, 2: 1})):
+            assert r * c == c * r
+            assert type(r * c) is Coeff
+
+    @pytest.mark.parametrize("other", [Coeff.one(), 3, Fraction(1, 2)])
+    def test_qrat_with_anything_else_raises(self, other):
+        # only a Coeff has a reflected operator, and only for *
+        r = QRat.rational(2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            if not (op is operator.mul and isinstance(other, Coeff)):
+                with pytest.raises(TypeError):
+                    op(r, other)
+
+    @pytest.mark.parametrize("build", [
+        Coeff.rational,
+        QRat.rational,
+        lambda x: QRat.from_laurent({2: 1, 0: x}),
+        lambda x: Coeff.one() * x,
+        lambda x: Coeff.q_power(1) / x,
+    ], ids=["Coeff.rational", "QRat.rational", "QRat.from_laurent", "Coeff*", "Coeff/"])
+    def test_floats_are_not_exact_rationals(self, build):
+        assert build(Fraction(1, 10)) == build(Fraction(1, 10))
+        with pytest.raises(TypeError):
+            build(0.1)
+        with pytest.raises(TypeError):
+            build(1.0)
+
 
 class TestQuantumInt:
     def test_values(self):
@@ -67,26 +236,27 @@ class TestQuantumInt:
     def test_defining_quotient(self):
         # [n] * (q - q^-1) = q^n - q^-n
         for n in range(-6, 7):
-            expected = laurent({2 * n: 1}) - laurent({-2 * n: 1})
+            expected = canon_sum(ref_laurent({2 * n: 1}), ref_neg(ref_laurent({-2 * n: 1})))
             assert quantum_int(n) * Q_DIFF == expected
 
     def test_closed_tuple_matches_laurent(self):
         for n in range(-60, 61):
             sign = 1 if n > 0 else -1
-            expected = laurent({2 * (abs(n) - 1) - 4 * j: sign for j in range(abs(n))})
+            expected = ref_laurent({2 * (abs(n) - 1) - 4 * j: sign for j in range(abs(n))})
             assert as_tuple(quantum_int(n)) == as_tuple(expected), n
 
 
 class TestGSeries:
     def test_values(self):
-        assert g_coeff(0) == QRat.q_power(4)
-        assert g_coeff(1) == laurent({8: 1, 0: -1})  # q^4 - 1
-        assert g_coeff(2) == laurent({8: 1, 0: -1}) * QRat.q_power(4)
+        q4m1 = ref_laurent({8: 1, 0: -1})  # q^4 - 1
+        assert g_coeff(0) == ref_laurent({4: 1})
+        assert g_coeff(1) == q4m1
+        assert g_coeff(2) == canon_product(q4m1, ref_laurent({4: 1}))
 
     def test_two_closed_forms_agree(self):
         # (1 - q^-4) q^(2(r+1)) = (q^4 - 1) q^(2(r-1))
         for r in range(1, 11):
-            lhs = (QRat.one() - QRat.q_power(-8)) * QRat.q_power(4 * (r + 1))
+            lhs = canon_product(ref_laurent({0: 1, -8: -1}), ref_laurent({4 * (r + 1): 1}))
             assert lhs == g_coeff(r)
 
     def test_negative_rejected(self):
@@ -212,6 +382,20 @@ def coeffs(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=-5, max_value=5),
+                       st.integers(min_value=-3, max_value=3) | small_rationals, max_size=4))
+def test_from_laurent_matches_reference(terms):
+    assert as_tuple(QRat.from_laurent(terms)) == as_tuple(ref_laurent(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(qrats())
+def test_power_matches_reference(r):
+    for n in range(-3, 4):
+        assert as_tuple(r ** n) == as_tuple(ref_pow(r, n)), n
+
+
+@settings(max_examples=60, deadline=None)
 @given(qrats(), qrats())
 def test_cancel_round_trip(a, b):
     assert (a * b) / b == a
@@ -259,28 +443,7 @@ def test_format_is_stable(c):
 
 
 # ---------------------------------------------------------------------------
-# Laurent fast paths against the general _canon path
-
-
-def naive_pmul(a, b):
-    """Dense schoolbook product, trimmed; the reference for _pmul."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def canon_product(a, b):
-    return _canon(a.scale * b.scale, a.shift + b.shift,
-                  naive_pmul(a.num, b.num), naive_pmul(a.den, b.den))
-
-
-def canon_quotient(a, b):
-    return _canon(a.scale / b.scale, a.shift - b.shift,
-                  naive_pmul(a.num, b.den), naive_pmul(a.den, b.num))
+# QRat arithmetic against the reference
 
 
 def as_tuple(r):
@@ -292,7 +455,7 @@ def is_canonical(r):
         return as_tuple(r) == as_tuple(QRat.zero())
     return all(
         p[0] != 0 and p[-1] > 0 and math.gcd(*p) == 1 for p in (r.num, r.den)
-    ) and as_tuple(_canon(r.scale, r.shift, r.num, r.den)) == as_tuple(r)
+    ) and as_tuple(canon(r.scale, r.shift, r.num, r.den)) == as_tuple(r)
 
 
 @st.composite
@@ -359,17 +522,6 @@ def test_mixed_operands_match_canon(a, r):
         assert as_tuple(x * y) == as_tuple(canon_product(x, y))
         assert as_tuple(x / y) == as_tuple(canon_quotient(x, y))
         assert is_canonical(x * y) and is_canonical(x / y)
-
-
-def canon_sum(a, b):
-    """a + b over the rationals, normalised by _canon."""
-    shift = min(a.shift, b.shift)
-    coeffs = [Fraction(0)] * (max(a.shift + len(a.num), b.shift + len(b.num)) - shift)
-    for r in (a, b):
-        for i, c in enumerate(r.num):
-            coeffs[r.shift - shift + i] += r.scale * c
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return _canon(Fraction(1, lcm), shift, tuple(int(c * lcm) for c in coeffs), (1,))
 
 
 def top_term(r):
@@ -471,7 +623,8 @@ def test_pmul_matches_dense_product(a, b):
 
 class RefCoeff:
     """{gamma half-exponent: QRat}, with the arithmetic and printing Coeff
-    had before its sparse form: the reference for the tests below."""
+    had before its sparse form, each term computed by the reference
+    arithmetic: the reference for the tests below."""
 
     def __init__(self, terms):
         self.terms = {g: r for g, r in terms.items() if not r.is_zero}
@@ -479,11 +632,11 @@ class RefCoeff:
     def __add__(self, other):
         out = dict(self.terms)
         for g, r in other.terms.items():
-            out[g] = out[g] + r if g in out else r
+            out[g] = canon_sum(out[g], r) if g in out else r
         return RefCoeff(out)
 
     def __neg__(self):
-        return RefCoeff({g: -r for g, r in self.terms.items()})
+        return RefCoeff({g: ref_neg(r) for g, r in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -492,13 +645,13 @@ class RefCoeff:
         out = {}
         for g1, r1 in self.terms.items():
             for g2, r2 in other.terms.items():
-                g = g1 + g2
-                out[g] = out[g] + r1 * r2 if g in out else r1 * r2
+                g, r = g1 + g2, canon_product(r1, r2)
+                out[g] = canon_sum(out[g], r) if g in out else r
         return RefCoeff(out)
 
     def __truediv__(self, other):
         (g0, r0), = other.terms.items()
-        return RefCoeff({g - g0: r / r0 for g, r in self.terms.items()})
+        return RefCoeff({g - g0: canon_quotient(r, r0) for g, r in self.terms.items()})
 
     def valuation(self):
         return min((r.shift for r in self.terms.values()), default=math.inf)
@@ -511,11 +664,11 @@ class RefCoeff:
     def specialize_gamma_one(self):
         total = QRat.zero()
         for r in self.terms.values():
-            total = total + r
+            total = canon_sum(total, r)
         return RefCoeff({0: total})
 
     def congruent_mod_q2(self, target):
-        return (self - RefCoeff({0: QRat.rational(target)})).valuation() >= 4
+        return (self - RefCoeff({0: ref_laurent({0: target})})).valuation() >= 4
 
     def items(self):
         return sorted(self.terms.items())
@@ -590,19 +743,11 @@ def gamma_terms(draw, max_terms=3):
 
 
 def ref_gcd_degree(polys):
-    """Degree of the gcd of ascending integer polynomials, by Euclid's
-    algorithm over the rationals; -1 if all of them are zero."""
-    g = []
+    """Degree of the gcd of ascending integer polynomials; -1 if all of them
+    are zero."""
+    g = ()
     for p in polys:
-        a, b = g, [Fraction(x) for x in p]
-        while b:
-            while len(a) >= len(b):  # a mod b
-                c = a[-1] / b[-1]
-                a = [x - c * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)]
-                while a and a[-1] == 0:
-                    a.pop()
-            a, b = b, a
-        g = a
+        g = ref_gcd(g, p)
     return len(g) - 1
 
 

@@ -1,9 +1,11 @@
-"""Coeff against sympy's rational functions, an oracle independent of QRat.
+"""Coeff and QRat against sympy's rational functions, an oracle independent
+of both.
 
 Each drawn value is built twice from the same terms: as a Coeff, and as
-{gamma half-exponent: rational function of s} in sympy, with s = q^(1/2).
-Results of Coeff are read back through the public items() and compared
-with what sympy computes on its side.
+{gamma half-exponent: rational function of s} in sympy, with s = q^(1/2);
+or as a QRat, and as one rational function of s.  Results of Coeff are read
+back through the public items(), results of QRat through its fields, and
+compared with what sympy computes on its side.
 """
 
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from imcrystal import pairing
 from imcrystal.qalgebra import Weight
-from imcrystal.qcoeff import Coeff, CoefficientError, congruent_mod_q2
+from imcrystal.qcoeff import Coeff, CoefficientError, QRat, congruent_mod_q2
 
 sympy = pytest.importorskip("sympy")
 
@@ -54,13 +56,33 @@ def homogeneous(draw):
     return c * Coeff.gamma_power(g), {g: f}
 
 
+@st.composite
+def qrats(draw, denominator=True):
+    """A QRat and its sympy value, divided by 1 + a*s^k when denominator is
+    True, else in about half the draws."""
+    terms = draw(st.dictionaries(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=1, max_size=3,
+    ))
+    r = QRat.from_laurent(terms)
+    f = sum(rational(v) * S**e for e, v in terms.items())
+    if denominator or draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=2))
+        a = draw(st.sampled_from([-2, -1, 1, 2]))
+        r = r / QRat.from_laurent({0: 1, k: a})
+        f = f / (1 + a * S**k)
+    return r, f
+
+
+def qrat_to_sympy(r):
+    return (rational(r.scale) * S**r.shift
+            * sum(a * S**i for i, a in enumerate(r.num))
+            / sum(b * S**i for i, b in enumerate(r.den)))
+
+
 def to_sympy(c):
-    return {
-        g: rational(r.scale) * S**r.shift
-        * sum(a * S**i for i, a in enumerate(r.num))
-        / sum(b * S**i for i, b in enumerate(r.den))
-        for g, r in c.items()
-    }
+    return {g: qrat_to_sympy(r) for g, r in c.items()}
 
 
 def same(c, x):
@@ -100,6 +122,21 @@ def test_arithmetic_matches_sympy(ax, by):
         for g2, f2 in y.items():
             prod[g1 + g2] = prod.get(g1 + g2, 0) + f1 * f2
     assert same(a * b, prod)
+
+
+@settings(max_examples=30, deadline=None)
+@given(qrats(), qrats(denominator=False))
+def test_qrat_arithmetic_matches_sympy(ax, by):
+    (a, x), (b, y) = ax, by
+    assert sympy.cancel(qrat_to_sympy(a) - x) == 0
+    assert sympy.cancel(qrat_to_sympy(b) - y) == 0
+    for got, expected in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
+        assert sympy.cancel(qrat_to_sympy(got) - expected) == 0
+    if b.is_zero:
+        with pytest.raises(CoefficientError):
+            a / b
+    else:
+        assert sympy.cancel(qrat_to_sympy(a / b) - x / y) == 0
 
 
 @settings(max_examples=30, deadline=None)
