@@ -176,15 +176,15 @@ def _signed_monomial(reduced: dict[ClassKey, Fraction]) -> tuple[int, Monomial] 
 def _tilde_image(op: str, m: int, sign: int, mono: Monomial, scales: frozenset) -> tuple:
     """The component-free part of one tilde image ("xminus" or "omega-psi")
     of the class sign * mono under the given generator scales, an entry of
-    `_IMAGES`.  The operator acts on a one-component lift whose weight it
-    never reads.  The poles are a tuple, as `memo` reads a list as the keys
-    still needed."""
+    `_IMAGES`: the list of lattice monomials with a pole at 0, and, when
+    there is none, the image in L/qL as `_signed_monomial` reads it.  The
+    operator acts on a one-component lift whose weight it never reads."""
     table = {(0, w): c for w, c in scales}
     scale = table.get((0, mono), Coeff.one())
     lift = VermaVector(_LIFT_AMBIENT, {0: Element({mono: scale * sign})})
     apply = act_xminus if op == "xminus" else tilde_omega
     poles, reduced = _reduce(apply(m, lift), table)
-    return tuple(w for _, w in poles), None if poles else _signed_monomial(reduced)
+    return [w for _, w in poles], None if poles else _signed_monomial(reduced)
 
 
 def _image_reader(lat: LatticeDesc) -> ImageReader:

@@ -17,10 +17,11 @@ side and the gbar expansion on the phi side is forced by well-definedness:
 only these choices are compatible with the Serre relations.  Every
 recursion path is cut by the Kronecker delta, so evaluation is exactly
 finite: psi(p) kills a monomial once p < -max(indices), phi(p) once
-p > -min(indices).  The recursion is the definition; it is evaluated
-bottom-up through `qalgebra.memo`, which computes the components on the
-rest of a monomial first, so a word of any length takes no Python frame
-per factor.
+p > -min(indices).  The recursion is the definition; each component
+is a body under `qalgebra.memo` that yields the keys of the components on
+the rest of the monomial and is sent their values, which `memo` computes
+on its own stack, so a word of any length takes no Python frame per
+factor.
 
 Both families are homogeneous in gamma: every term of psi(p)(w) is gamma^p
 times its value at gamma = 1, and every term of phi(p)(w) is gamma^-p times
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import prod
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .check import Check
 from .qcoeff import Coeff, g_coeff
@@ -76,12 +77,11 @@ def _kernel(sign: int, r: int) -> Coeff:
 
 
 @memo(_OMEGA_CACHE)
-def _omega_one(kind: str, p: int, mono: Monomial) -> Element | list:
+def _omega_one(kind: str, p: int, mono: Monomial) -> Generator[list, list, Element]:
     """One annihilation-operator component on a monomial, at gamma = 1.
 
-    The body returns the keys of the components on the rest of the monomial
-    that it still needs, and `memo` computes those first; callers always
-    get the element."""
+    The body yields the keys of the components on the rest of the monomial
+    and `memo` sends their values; callers always get the element."""
     sign = _SIGN.get(kind)
     if sign is None:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -90,19 +90,11 @@ def _omega_one(kind: str, p: int, mono: Monomial) -> Element | list:
     m, rest = mono[0], mono[1:]
     # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
     rmax = sign * p + (max(rest) if sign > 0 else -min(rest)) if rest else -1
-    subs = [(kind, p - sign * r, rest) for r in range(rmax + 1)]
-    missing = [key for key in subs if key not in _OMEGA_CACHE]
-    if missing:
-        return missing
-    pieces: list[tuple[Element, Coeff | None]] = []
-    if p == -m:
-        pieces.append((normalize_word(rest), None))
-    for r, key in enumerate(subs):
+    subs = yield [(kind, p - sign * r, rest) for r in range(rmax + 1)]
+    pieces = [(normalize_word(rest), None)] if p == -m else []
+    for r, sub in enumerate(subs):
         c = _kernel(sign, r)
-        pieces.extend(
-            (normalize_word((m + sign * r,) + w), d * c)
-            for w, d in _OMEGA_CACHE[key]._terms.items()
-        )
+        pieces += [(normalize_word((m + sign * r,) + w), d * c) for w, d in sub._terms.items()]
     return _linear_sum(pieces)
 
 
@@ -182,10 +174,6 @@ def _x(n: int, e: Element) -> Element:
     return Element.monomial((n,)) * e
 
 
-def _qp(halfexp: int) -> Coeff:
-    return Coeff.q_power(halfexp)
-
-
 def _gam(power: int) -> Coeff:
     return Coeff.gamma_power(2 * power)
 
@@ -199,7 +187,7 @@ def _residual(relation: str, comps: tuple[int, ...], e: Element) -> Element:
     generating-function relations (the commonly printed gamma-free deltas
     are their gamma = 1 specializations).
     """
-    q2 = _qp(4)
+    q2 = Coeff.q_power(4)
     if relation == "omegapsi-x":
         m, n = comps
         out = (

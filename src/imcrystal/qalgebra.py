@@ -21,9 +21,10 @@ into each normal term, where only the ascent at position 0 is left to
 rewrite.  So the memo keeps the normal forms of (letter, normal word)
 pairs and of suffixes, not of every intermediate word of a rewrite.
 
-Every memoised recursion of the package is evaluated bottom-up through
-`memo`: a body returns the keys it still needs, and `memo` computes them
-first on an explicit stack, so a long word never runs one Python frame per
+Every memoised recursion of the package is evaluated through `memo`: a
+recursive body is a generator that yields the keys it needs and is sent
+their values, and `memo` computes the missing ones first on an explicit
+stack of suspended bodies, so a long word never runs one Python frame per
 factor or per rewrite step.
 """
 
@@ -33,10 +34,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations, combinations_with_replacement, filterfalse
+from operator import ge
+from types import GeneratorType
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .qcoeff import Coeff, QRat, format_coeff
+from .qcoeff import Coeff, QRat, _lift, format_coeff
 
 Monomial = tuple[int, ...]
 
@@ -68,35 +71,53 @@ def format_monomial(mono: Monomial) -> str:
 
 def memo(table: dict) -> Callable[[Callable], Callable]:
     """Memoise a function in `table`, keyed by the tuple of its positional
-    arguments; no other code writes a memo table.
+    arguments; no other code reads or writes a memo table.
 
-    The function may instead return a nonempty list of the argument tuples
-    it still needs from the same table (so no memoised value is a list; the
-    needs must not form a cycle).  Those are computed first, on an explicit
-    stack, and then the function is called again, so a chain of
-    dependencies as long as a word never runs on Python's stack.
+    A recursive body is a generator: it yields a list of the argument tuples
+    it needs from the same table, is sent their values in that order, and
+    returns its own value.  `memo` computes each missing one first, on an
+    explicit stack of suspended bodies, so a chain of dependencies as long
+    as a word never runs on Python's stack, and each body runs once per key
+    (the needs must not form a cycle).  A body that is not a generator is
+    memoised as it is.  A body that raises stores nothing for its key.
 
     An `Element` is stored with each coefficient replaced by the one shared
     object of its value, so the tables hold each value once.
     """
 
     def wrap(fn: Callable) -> Callable:
+        def run(key: tuple, stack: list, body: GeneratorType | None = None, values=None) -> None:
+            # start the body of key, or send a suspended one its values: push
+            # it with the needs it yields next, or store the value it returns
+            out = fn(*key) if body is None else body
+            if type(out) is GeneratorType:
+                try:
+                    needs = out.send(values)
+                except StopIteration as done:
+                    out = done.value
+                else:
+                    stack.append((key, out, needs, iter(needs)))
+                    return
+            if isinstance(out, Element):
+                out = Element._of({m: _shared(c) for m, c in out._terms.items()})
+            table[key] = out
+
         @wraps(fn)
         def cached(*key):
             hit = table.get(key)
-            if hit is not None:
+            if hit is not None or key in table:
                 return hit
-            stack = [key]
+            stack: list = []
+            run(key, stack)
             while stack:
-                k = stack.pop()
-                if k not in table:
-                    out = fn(*k)
-                    if isinstance(out, list):
-                        stack += [k, *out]
-                    elif isinstance(out, Element):
-                        table[k] = Element._of({m: _shared(c) for m, c in out._terms.items()})
-                    else:
-                        table[k] = out
+                k, body, needs, todo = stack[-1]
+                # the first need still missing: those before it are in the table
+                n = next(filterfalse(table.__contains__, todo), None)
+                if n is None:
+                    stack.pop()
+                    run(k, stack, body, [table[need] for need in needs])
+                else:
+                    run(n, stack)
             return table[key]
 
         return cached
@@ -138,11 +159,8 @@ class Element:
     @staticmethod
     def monomial(indices: Sequence[int], coeff: Coeff | None = None) -> Element:
         """Element of the word x[i1]...x[ik]; reorders if not normal."""
-        word = tuple(indices)
-        out = normalize_word(word)
-        if coeff is not None:
-            out = out * coeff
-        return out
+        out = normalize_word(indices)
+        return out if coeff is None else out * coeff
 
     # -- predicates ----------------------------------------------------------
 
@@ -186,10 +204,8 @@ class Element:
 
     def __mul__(self, other: Element | Coeff | QRat | int | Fraction) -> Element:
         if not isinstance(other, Element):
-            if isinstance(other, (int, Fraction)):
-                other = Coeff.rational(other)
-            elif isinstance(other, QRat):
-                other = Coeff.from_qrat(other)
+            if (other := _lift(other)) is NotImplemented:
+                return NotImplemented
             if other.is_zero:
                 return Element.zero()
             return Element._of({m: c * other for m, c in self._terms.items()})
@@ -298,32 +314,27 @@ def normalize_word(word: Sequence[int], strategy: str | None = None) -> Element:
 
 
 @memo(_CACHE)
-def _normal(word: Monomial, strategy: str | None) -> Element | list:
-    """Normal form of a word, or the keys it still needs.
+def _normal(word: Monomial, strategy: str | None) -> Generator[list, list, Element]:
+    """Normal form of a word.
 
     A strategy rewrites the ascent it picks.  Without one, the word is a
-    letter before its tail: a tail that is not normal is normalised first
-    and the letter inserted into each of its terms; a normal tail leaves
-    only the ascent at position 0 to rewrite."""
+    letter before its tail: a tail that is not normal (its indices not
+    weakly decreasing) is normalised first and the letter inserted into
+    each of its terms; a normal tail leaves only the ascent at position 0
+    to rewrite."""
+    tail = word[1:]
     if strategy is not None:
         i = find_ascent(word, strategy)
         pieces = [] if i is None else rewrite_once(word, i)
+    elif all(map(ge, tail, tail[1:])):
+        pieces = rewrite_once(word, 0) if tail and word[0] < word[1] else []
     else:
-        tail = word[1:]
-        form = _CACHE.get((tail, None))
-        if form is None and list(tail) != sorted(tail, reverse=True):
-            return [(tail, None)]
-        # a cached tail is normal exactly when it is a term of its own form
-        if form is not None and tail not in form._terms:
-            pieces = [(c, word[:1] + m) for m, c in form._terms.items()]
-        else:
-            pieces = rewrite_once(word, 0) if tail and word[0] < word[1] else []
+        (form,) = yield [(tail, None)]
+        pieces = [(c, word[:1] + m) for m, c in form._terms.items()]
     if not pieces:
         return Element({word: Coeff.one()})
-    missing = [(w, strategy) for _, w in pieces if (w, strategy) not in _CACHE]
-    if missing:
-        return missing
-    return _linear_sum((_CACHE[(w, strategy)], c) for c, w in pieces)
+    forms = yield [(w, strategy) for _, w in pieces]
+    return _linear_sum(zip(forms, (c for c, _ in pieces)))
 
 
 def normalize(word: Sequence[int], coeff: Coeff | None = None) -> Element:

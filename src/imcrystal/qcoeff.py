@@ -347,7 +347,9 @@ class Coeff:
     def __neg__(self) -> Coeff:
         return _hot({k: -v for k, v in self._t.items()}, self._d, self._D)
 
-    def __add__(self, other: Coeff) -> Coeff:
+    def __add__(self, other: Coeff | QRat | Rational) -> Coeff:
+        if not isinstance(other, Coeff) and (other := _lift(other)) is NotImplemented:
+            return NotImplemented
         a, b = self._t, other._t
         if not b:
             return self
@@ -376,12 +378,13 @@ class Coeff:
             return _hot(t) if d == 1 else _reduced(t, d)
         return _make(t, d, D)
 
-    def __sub__(self, other: Coeff) -> Coeff:
-        return self + (-other)
+    def __sub__(self, other: Coeff | QRat | Rational) -> Coeff:
+        other = _lift(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __mul__(self, other: Coeff | QRat | Rational) -> Coeff:
-        if not isinstance(other, Coeff):
-            other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
+        if not isinstance(other, Coeff) and (other := _lift(other)) is NotImplemented:
+            return NotImplemented
         a, b = self._t, other._t
         # the unit returns the other operand, as in QRat.__mul__
         if a == _UNIT and self._d == 1 and self._D is _ONE:
@@ -404,8 +407,8 @@ class Coeff:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Coeff | QRat | Rational) -> Coeff:
-        if not isinstance(other, Coeff):
-            other = Coeff.from_qrat(other) if isinstance(other, QRat) else Coeff.rational(other)
+        if not isinstance(other, Coeff) and (other := _lift(other)) is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise CoefficientError("division by zero")
         if len({g for g, _ in other._t}) != 1:
@@ -459,6 +462,16 @@ class Coeff:
 
     def __repr__(self) -> str:
         return f"Coeff({format_coeff(self)!r})"
+
+
+def _lift(x: object) -> Coeff:
+    """The operand of a Coeff operator as a Coeff: a Coeff as it is, a QRat,
+    an int or a Fraction lifted, and NotImplemented for anything else."""
+    if isinstance(x, Coeff):
+        return x
+    if isinstance(x, QRat):
+        return Coeff.from_qrat(x)
+    return Coeff.rational(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
 
 def _hot(t: dict[_Key, int], d: int = 1, D: tuple[int, ...] = _ONE) -> Coeff:

@@ -118,9 +118,6 @@ class DirectSum:
     def __init__(self, weights: Iterable[HighestWeight]):
         self.weights = tuple(weights)
 
-    def zero(self) -> VermaVector:
-        return VermaVector(self.weights, {})
-
     def inject(self, i: int, e: Element) -> VermaVector:
         """Canonical injection of the i-th summand."""
         if not 0 <= i < len(self.weights):
@@ -132,9 +129,6 @@ class DirectSum:
         if v.ambient != self.weights:
             raise ValueError("vector does not live in this sum")
         return VermaVector((self.weights[i],), {0: v.element(i)})
-
-    def highest(self, i: int = 0) -> VermaVector:
-        return self.inject(i, Element.one())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The check runner, the rule that only `check.py` keeps a check's books,
 the rule that `Check` is the one result record, the rule that `src/` holds
-no name that only tests use, the rule that no function but `qalgebra.memo`
-writes a memo table, and the benchmark tracer's hold on the names it
-traces."""
+no name that only tests use, the rules that no function but `qalgebra.memo`
+writes a memo table and none names one, and the benchmark tracer's hold on
+the names it traces."""
 
 import ast
 import importlib.util
@@ -351,6 +351,68 @@ def test_the_guard_sees_each_memo_write():
         "line 8: writes C[...]",
         "line 9: calls B.setdefault",
         "line 11: calls A.update",
+    ]
+
+
+def _memo_reads(tree: ast.Module) -> list[str]:
+    """Each place in a function body that names a memo table of its module:
+    a name passed to `memo(...)` as a decorator.  Any mention counts, so an
+    item read, a membership test, a method call or a loop over the table."""
+    tables = {
+        dec.args[0].id
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for dec in fn.decorator_list
+        if isinstance(dec, ast.Call)
+        and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "memo"
+        and dec.args
+        and isinstance(dec.args[0], ast.Name)
+    }
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            found.update(
+                (node.lineno, node.id)
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and node.id in tables
+            )
+    return [f"line {n}: names {name}" for n, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_function_reads_a_memo_table(path):
+    # a recursive body yields the keys it needs and memo sends their values,
+    # so memo is the one reader of a table as well as its one writer
+    tree = ast.parse((SRC / path).read_text(), path)
+    assert _memo_reads(tree) == []
+
+
+def test_the_guard_sees_each_memo_read():
+    tree = ast.parse(
+        "T = {}\n"
+        "U = {}\n"
+        "@memo(T)\n"
+        "def f(k):\n"
+        "    return T[k]\n"
+        "@qalgebra.memo(U)\n"
+        "def g(k):\n"
+        "    if k in T:\n"
+        "        return T.get(k)\n"
+        "    return [v for v in T], V[k]\n"
+        "h = lambda: list(U)\n"
+        "print(T)\n"
+        "@memo({})\n"
+        "def i(k):\n"
+        "    return k\n"
+    )
+    assert _memo_reads(tree) == [
+        "line 5: names T",
+        "line 8: names T",
+        "line 9: names T",
+        "line 10: names T",
+        "line 11: names U",
     ]
 
 

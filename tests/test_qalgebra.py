@@ -3,12 +3,13 @@
 import inspect
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from imcrystal import cli, kashiwara, qalgebra, verma
-from imcrystal.qcoeff import Coeff
+from imcrystal.qcoeff import Coeff, QRat
 from imcrystal.qalgebra import (
     Element,
     InhomogeneousError,
@@ -17,6 +18,7 @@ from imcrystal.qalgebra import (
     enumerate_basis,
     find_ascent,
     format_element,
+    memo,
     normalize_word,
     parse_element,
     rewrite_once,
@@ -89,6 +91,128 @@ class TestInsertion:
         finally:
             sys.setrecursionlimit(limit)
         assert e == Element({normal: Coeff.q_power(halfexp)})
+
+
+class TestMemo:
+    # the memo protocol on toy bodies over a fresh table: a generator body
+    # yields the keys it needs, is sent their values in the order asked and
+    # returns its own value; a plain body is memoised as it is
+
+    def test_a_generator_may_return_before_its_first_yield(self):
+        table = {}
+
+        @memo(table)
+        def f(n):
+            if n >= 0:
+                return 2 * n
+            yield []
+
+        assert f(3) == 6
+        assert table == {(3,): 6}
+
+    def test_an_empty_list_of_needs_is_sent_back_empty(self):
+        table = {}
+
+        @memo(table)
+        def f(n):
+            values = yield []
+            return (n, values)
+
+        assert f(1) == (1, [])
+        assert table == {(1,): (1, [])}
+
+    def test_values_come_back_in_the_order_asked(self):
+        @memo({})
+        def f(n):
+            if n < 3:
+                return n
+            return (yield [(2,), (0,), (1,), (0,)])
+
+        assert f(3) == [2, 0, 1, 0]
+
+    def test_a_shared_need_is_computed_once(self):
+        entered = []
+
+        @memo({})
+        def f(n):
+            entered.append(n)
+            if n == 0:
+                return 1
+            if n == 3:
+                a, b = yield [(1,), (2,)]
+                return a + b
+            (z,) = yield [(0,)]
+            return z + n
+
+        assert f(3) == (1 + 1) + (1 + 2)
+        assert sorted(entered) == [0, 1, 2, 3]
+
+    def test_each_body_is_entered_once_per_key(self):
+        # every key below 30 is asked for by two others, and each body
+        # suspends until both of its needs are in the table
+        entered = []
+        table = {}
+
+        @memo(table)
+        def fib(n):
+            entered.append(n)
+            if n < 2:
+                return n
+            a, b = yield [(n - 1,), (n - 2,)]
+            return a + b
+
+        assert fib(30) == 832040
+        assert sorted(entered) == list(range(31))
+        assert len(table) == 31
+        assert fib(30) == 832040 and len(entered) == 31
+
+    def test_a_long_chain_does_not_recurse(self):
+        table = {}
+
+        @memo(table)
+        def depth(n):
+            if n == 0:
+                return 0
+            (below,) = yield [(n - 1,)]
+            return below + 1
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            assert depth(10000) == 10000
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(table) == 10001
+
+    def test_a_plain_body_may_return_a_list(self):
+        table = {}
+
+        @memo(table)
+        def pair(n):
+            return [n, n]
+
+        value = pair(2)
+        assert value == [2, 2]
+        assert table[(2,)] is value and pair(2) is value
+
+    def test_a_raising_body_stores_nothing_for_its_key(self):
+        table = {}
+
+        @memo(table)
+        def f(n):
+            if n == 0:
+                return 0
+            (below,) = yield [(n - 1,)]
+            if n == 2:
+                raise ValueError(n)
+            return below + 1
+
+        with pytest.raises(ValueError):
+            f(3)
+        assert table == {(0,): 0, (1,): 1}
+        with pytest.raises(ValueError):
+            f(2)
+        assert table == {(0,): 0, (1,): 1}
 
 
 class TestTermination:
@@ -362,6 +486,18 @@ def test_built_elements_store_no_zero(a, b, c):
     ea, eb = normalize_word(a), normalize_word(b)
     for e in (ea * eb, ea * c, ea * eb * c - ea * eb * c, (ea + eb) * (ea - eb)):
         assert no_stored_zero(e)
+
+
+def test_element_scalars_lift_as_coeff_operands():
+    e = x(1, 0)
+    for scalar in (2, Fraction(2), QRat.rational(2), Coeff.rational(2)):
+        assert e * scalar == Element({(1, 0): Coeff.rational(2)})
+
+
+def test_element_times_a_non_scalar_raises():
+    assert Element.one().__mul__("a") is NotImplemented
+    with pytest.raises(TypeError):
+        Element.one() * "a"
 
 
 def test_cached_results_are_not_mutated():

@@ -202,6 +202,39 @@ class TestOperands:
             assert r * c == c * r
             assert type(r * c) is Coeff
 
+    # every Coeff operator lifts a QRat, an int or a Fraction operand, and
+    # returns NotImplemented for any other, which Python turns into TypeError
+
+    def test_coeff_plus_int(self):
+        assert Coeff.one() + 3 == Coeff.rational(4)
+
+    def test_coeff_minus_int(self):
+        assert Coeff.one() - 3 == Coeff.rational(-2)
+
+    def test_coeff_plus_qrat(self):
+        assert Coeff.one() + QRat.one() == Coeff.rational(2)
+
+    def test_coeff_minus_qrat(self):
+        assert Coeff.q_power(2) - QRat.q_power(2) == Coeff.zero()
+
+    def test_coeff_plus_fraction(self):
+        assert Coeff.one() + Fraction(1, 2) == Coeff.rational(Fraction(3, 2))
+
+    def test_coeff_times_and_over_every_lifted_operand(self):
+        c = Coeff.q_power(2) * 2
+        for other in (2, Fraction(2), QRat.rational(2), Coeff.rational(2)):
+            assert c * other == Coeff.q_power(2) * 4
+            assert c / other == Coeff.q_power(2)
+
+    @pytest.mark.parametrize("other", ["a", 1.5, None, [1]])
+    def test_coeff_with_anything_else_raises(self, other):
+        c = Coeff.one()
+        for op, name in ((operator.add, "__add__"), (operator.sub, "__sub__"),
+                         (operator.mul, "__mul__"), (operator.truediv, "__truediv__")):
+            assert getattr(c, name)(other) is NotImplemented
+            with pytest.raises(TypeError):
+                op(c, other)
+
     @pytest.mark.parametrize("other", [Coeff.one(), 3, Fraction(1, 2)])
     def test_qrat_with_anything_else_raises(self, other):
         # only a Coeff has a reflected operator, and only for *
