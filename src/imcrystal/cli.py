@@ -10,15 +10,12 @@ byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import random
 import re
 import sys
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterator
 
 from .check import Check
@@ -33,6 +30,7 @@ from .qalgebra import (
     enumerate_basis,
     find_ascent,
     format_element,
+    memo,
     normalize_word,
     parse_element,
     rewrite_once,
@@ -666,10 +664,26 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-@cache
+# an element that starts with '-', as in -x[0], -3*x[0], -(x[0]), -[2]*x[0]
+# or -g*x[0], and a range or list such as -2:2 or -1,2; argparse itself
+# reads -2 and -1.5 as values, not options
+_SIGNED_ELEMENT = re.compile(r"-(?!\d+(\.\d+)?$)[\d(\[xqg]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token starting like a signed element
+    as a value, not as an option; its subparsers are of the same class."""
+
+    def _parse_optional(self, arg_string):
+        if _SIGNED_ELEMENT.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+@memo({})
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imcrystal",
         description="Exact computation in the lower half of quantum affine sl2.",
     )
@@ -734,48 +748,16 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-# an element that starts with '-', as in -x[0], -3*x[0], -(x[0]), -[2]*x[0]
-# or -g*x[0]; argparse itself reads -2 and -1.5 as values, not options
-_SIGNED_ELEMENT = re.compile(r"-(?!\d+(\.\d+)?$)[\d(\[xqg]")
-
-
-def _argparse_argv(argv: list[str]) -> list[str]:
-    """The arguments as argparse should see them: range values joined onto
-    their flags, so '-2:2' is not mistaken for an option (the documented
-    syntax is '--window -2:2'), and a space put before any other value that
-    starts like a signed element, which argparse then reads as a value and
-    the element grammar skips.  main shows such a value in an error message
-    without the space."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in ("--window", "--m"):
-            out[-1] += "=" + tok
-        else:
-            out.append(" " + tok if _SIGNED_ELEMENT.match(tok) else tok)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    err = io.StringIO()
     try:
-        with contextlib.redirect_stderr(err):
-            args = parser.parse_args(_argparse_argv(argv))
+        args = parser.parse_args(argv)
+        if [] in vars(args).values():
+            # argparse stores '--' given as an option's own value as [],
+            # without calling its type or checking its choices
+            parser.error("an option value of '--' is not allowed")
     except SystemExit as stop:
-        # argparse shows a value as it saw it, padded; show it as given
-        text = err.getvalue()
-        for tok in dict.fromkeys(argv):
-            if _SIGNED_ELEMENT.match(tok):
-                text = text.replace(" " + tok, tok)
-        sys.stderr.write(text)
         return int(stop.code or 0) and EXIT_PARSE
-    for name in ("expr", "lhs", "rhs"):
-        text = getattr(args, name, None)
-        if text is not None and text not in argv:
-            # drop the space _argparse_argv put before a signed element, so
-            # parse errors count positions in the text as given
-            setattr(args, name, text[1:])
 
     try:
         if args.command == "normalize":

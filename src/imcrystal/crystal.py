@@ -62,9 +62,6 @@ class CrystalClass:
     mono: Monomial
     component: int
 
-    def __neg__(self) -> CrystalClass:
-        return CrystalClass(-self.sign, self.mono, self.component)
-
     def describe(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
 

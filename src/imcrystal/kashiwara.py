@@ -14,7 +14,8 @@ with psi(p)(1) = phi(p)(1) = 0.  The structure series g and gbar are the
 two opposite-parameter expansions of the same rational kernel (they are
 inverse to each other as power series); using the g expansion on the psi
 side and the gbar expansion on the phi side is forced by well-definedness:
-only these choices are compatible with the Serre relations.  Every
+only these choices are compatible with the Serre relations.  Both series
+are defined once, as `Coeff`s, by `qcoeff._kernel`.  Every
 recursion path is cut by the Kronecker delta, so evaluation is exactly
 finite: psi(p) kills a monomial once p < -max(indices), phi(p) once
 p > -min(indices).  The recursion is the definition; each component
@@ -46,7 +47,7 @@ from math import prod
 from typing import Generator, Iterator
 
 from .check import Check
-from .qcoeff import Coeff, g_coeff
+from .qcoeff import Coeff, _kernel
 from .qalgebra import (
     Element,
     Monomial,
@@ -65,15 +66,6 @@ PHI = "phi"
 _SIGN = {PSI: 1, PHI: -1}
 _ONE = Coeff.one()
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}
-
-
-@memo({})
-def _kernel(sign: int, r: int) -> Coeff:
-    """g_coeff(r) for sign 1, g_coeff_bar(r) for sign -1: q^(2 sign) for
-    r = 0, else q^(sign(2r+2)) - q^(sign(2r-2))."""
-    if r == 0:
-        return Coeff.q_power(4 * sign)
-    return Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))
 
 
 @memo(_OMEGA_CACHE)
@@ -157,7 +149,7 @@ def omega_psi_closed(p: int, mono: Monomial) -> Element:
     return _linear_sum(
         (
             normalize_word(tuple(n + r for n, r in zip(mono, rs)) + mono[l:]),
-            prod((Coeff.from_qrat(g_coeff(r)) for r in rs), start=gp),
+            prod((_kernel(1, r) for r in rs), start=gp),
         )
         for l in range(1, len(mono) + 1)
         for rs in _compositions(p + mono[l - 1], l - 1)

@@ -38,6 +38,11 @@ tests.  ``QRat`` has no arithmetic of its own: its operators compute on
 the ``Coeff``s of their operands and read the result back from the
 ``Coeff`` form, with content over d as scale, the lowest exponent as
 shift, and D less the factor it shares with that term as den.
+
+The named series are ``Coeff``s, each defined once: ``Coeff.quantum`` for
+the quantum integers and ``_kernel`` for the structure series g and gbar
+of the annihilation operators.  The public ``QRat`` names
+``quantum_int``, ``g_coeff`` and ``g_coeff_bar`` are views of them.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
@@ -221,41 +225,35 @@ def _qrat_term(pairs: list[tuple[int, int]], d: int, D: tuple[int, ...], shared:
 
 
 # ---------------------------------------------------------------------------
-# named values
+# named values: each series a Coeff, its QRat name a view through _qrat
 
 
-@lru_cache(maxsize=None)
+def _kernel(sign: int, r: int) -> Coeff:
+    """g(r) for sign 1 and gbar(r) for sign -1: q^(2 sign) for r = 0, else
+    q^(sign(2r+2)) - q^(sign(2r-2))."""
+    if r < 0:
+        raise ValueError("the g series needs r >= 0")
+    if r == 0:
+        return Coeff.q_power(4 * sign)
+    return Coeff.q_power(sign * (4 * r + 4)) - Coeff.q_power(sign * (4 * r - 4))
+
+
 def quantum_int(n: int) -> QRat:
-    """[n] = (q^n - q^-n)/(q - q^-1) in closed Laurent form."""
-    if n == 0:
-        return QRat.zero()
-    if n < 0:
-        return -quantum_int(-n)
-    # q^(1-n) + q^(3-n) + ... + q^(n-1): unit coefficients, canonical as built
-    return QRat(Fraction(1), -2 * (n - 1), (1, 0, 0, 0) * (n - 1) + (1,), (1,))
+    """[n] = (q^n - q^-n)/(q - q^-1): the QRat of Coeff.quantum(n)."""
+    return _qrat(Coeff.quantum(n))
 
 
-@lru_cache(maxsize=None)
 def g_coeff(r: int) -> QRat:
     """Structure coefficients of the annihilation-operator recursion:
     g(0) = q^2 and g(r) = (q^4 - 1) q^(2(r-1)) for r > 0."""
-    if r < 0:
-        raise ValueError("g_coeff needs r >= 0")
-    if r == 0:
-        return QRat.q_power(4)
-    return QRat.from_laurent({4 * r + 4: 1, 4 * r - 4: -1})
+    return _qrat(_kernel(1, r))
 
 
-@lru_cache(maxsize=None)
 def g_coeff_bar(r: int) -> QRat:
     """Image of g_coeff under q -> 1/q; the inverse power series, so that
     sum over r of g_coeff(r) * g_coeff_bar(N - r) is 1 for N = 0 and 0
     otherwise.  This expansion drives the phi-side operators."""
-    if r < 0:
-        raise ValueError("g_coeff_bar needs r >= 0")
-    if r == 0:
-        return QRat.q_power(-4)
-    return QRat.from_laurent({-4 * r - 4: 1, -4 * r + 4: -1})
+    return _qrat(_kernel(-1, r))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +376,15 @@ class Coeff:
             return _hot(t) if d == 1 else _reduced(t, d)
         return _make(t, d, D)
 
+    __radd__ = __add__
+
     def __sub__(self, other: Coeff | QRat | Rational) -> Coeff:
         other = _lift(other)
         return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other: QRat | Rational) -> Coeff:
+        other = _lift(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other: Coeff | QRat | Rational) -> Coeff:
         if not isinstance(other, Coeff) and (other := _lift(other)) is NotImplemented:

@@ -315,20 +315,22 @@ def test_only_memo_writes_a_memo(path):
     assert _memo_writes(tree) == []
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p.name for p in SRC.glob("*.py") if p.stem not in ("qcoeff", "cli"))
-)
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_functools_memo_above_qcoeff(path):
-    # qcoeff sits below qalgebra, and its lru_caches back public constructors;
-    # cli keeps its one parser
+    # qalgebra.memo is the one cache of every module: qcoeff computes its
+    # named series afresh, and cli memoises its one parser through memo
     tree = ast.parse((SRC / path).read_text(), path)
-    imported = {
+    named = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "functools"
         for alias in node.names
+    } | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools"
     }
-    assert not imported & {"cache", "lru_cache"}
+    assert not named & {"cache", "lru_cache"}
 
 
 def test_the_guard_sees_each_memo_write():

@@ -234,6 +234,30 @@ class TestSignedElement:
         assert run("normalize", " x[0")[2] == "parse error: expected ']', found '' (at position 4)"
 
 
+# a valid argv of each subcommand, and the flags of it that take a value
+VALUE_FLAGS = {
+    ("normalize", "x[0]"): ("--format",),
+    ("omega", "-p", "0", "x[0]"): ("--kind", "-p", "--format"),
+    ("pair", "x[0]", "x[0]"): ("--format",),
+    ("gram", "--length", "1", "--degree", "0"): ("--length", "--degree", "--window", "--format"),
+    ("act", "--gen", "x-", "--h", "1", "x[0]"): ("--gen", "-k", "--h", "--d", "--format"),
+    ("verify", "crystal", "--max-length", "1", "--window", "0:0"): (
+        "--seed", "--h", "--d", "--max-length", "--window", "--m", "--corrupt", "--format"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    (*base, *given)
+    for base, flags in VALUE_FLAGS.items()
+    for flag in flags
+    for given in [(f"{flag}=--",), (flag, "--")] + ([(f"{flag}--",)] if flag[1] != "-" else [])
+], ids=" ".join)
+def test_a_value_of_two_dashes_is_a_usage_error(argv):
+    # argparse drops '--' given as an option's own value, and stores [] for it
+    code, out, err = run(*argv)
+    assert (code, out) == (EXIT_PARSE, "") and "Traceback" not in err
+
+
 class TestNesting:
     def test_at_the_bound(self):
         text = "(" * MAX_NESTING + "x[0]" + ")" * MAX_NESTING

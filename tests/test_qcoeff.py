@@ -220,6 +220,15 @@ class TestOperands:
     def test_coeff_plus_fraction(self):
         assert Coeff.one() + Fraction(1, 2) == Coeff.rational(Fraction(3, 2))
 
+    def test_int_plus_coeff(self):
+        assert 3 + Coeff.one() == Coeff.rational(4)
+
+    def test_int_minus_coeff(self):
+        assert 3 - Coeff.one() == Coeff.rational(2)
+
+    def test_sum_of_coeffs(self):
+        assert sum([Coeff.one(), Coeff.q_power(2)]) == Coeff.one() + Coeff.q_power(2)
+
     def test_coeff_times_and_over_every_lifted_operand(self):
         c = Coeff.q_power(2) * 2
         for other in (2, Fraction(2), QRat.rational(2), Coeff.rational(2)):
@@ -237,10 +246,13 @@ class TestOperands:
 
     @pytest.mark.parametrize("other", [Coeff.one(), 3, Fraction(1, 2)])
     def test_qrat_with_anything_else_raises(self, other):
-        # only a Coeff has a reflected operator, and only for *
+        # only a Coeff has reflected operators, for +, - and *, which lift
+        # the QRat; a QRat over a Coeff still raises
         r = QRat.rational(2)
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-            if not (op is operator.mul and isinstance(other, Coeff)):
+            if op is not operator.truediv and isinstance(other, Coeff):
+                assert op(r, other) == op(Coeff.from_qrat(r), other)
+            else:
                 with pytest.raises(TypeError):
                     op(r, other)
 
