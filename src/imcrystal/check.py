@@ -12,17 +12,16 @@ report in this one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
 Case = TypeVar("Case")
 
 
-@dataclass
 class Check:
-    name: str
-    checked: int = 0
-    witnesses: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "witnesses")
+
+    def __init__(self, name: str):
+        self.name, self.checked, self.witnesses = name, 0, []
 
     @property
     def passed(self) -> bool:

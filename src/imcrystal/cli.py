@@ -15,7 +15,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .check import Check
@@ -77,12 +76,11 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    bounds: dict
-    seed: int
-    results: list[Check]
+    __slots__ = ("suite", "bounds", "seed", "results")
+
+    def __init__(self, suite: str, bounds: dict, seed: int, results: list[Check]):
+        self.suite, self.bounds, self.seed, self.results = suite, bounds, seed, results
 
     @property
     def passed(self) -> bool:

@@ -33,12 +33,11 @@ stability must reject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .check import Check
-from .qcoeff import Coeff
+from .qcoeff import Coeff, _frozen, _set
 from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial, memo
 from .verma import (
     DirectSum,
@@ -54,13 +53,25 @@ from .verma import (
 ClassKey = tuple[int, Monomial]  # (component id, normal monomial)
 
 
-@dataclass(frozen=True)
 class CrystalClass:
-    """Signed normal monomial class in L/qL; zero is represented by None."""
+    """Signed normal monomial class in L/qL; zero is represented by None.
+    Immutable, and equal and hashed by (sign, mono, component)."""
 
-    sign: int
-    mono: Monomial
-    component: int
+    __slots__ = ("sign", "mono", "component")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, sign: int, mono: Monomial, component: int):
+        _set(self, "sign", sign)
+        _set(self, "mono", mono)
+        _set(self, "component", component)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CrystalClass:
+            return NotImplemented
+        return (self.sign, self.mono, self.component) == (other.sign, other.mono, other.component)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.mono, self.component))
 
     def describe(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
@@ -68,14 +79,15 @@ class CrystalClass:
     __str__ = describe
 
 
-@dataclass
 class LatticeDesc:
     """Finite probe of a crystal lattice for a direct sum of components."""
 
-    weights: tuple[HighestWeight, ...]
-    max_length: int
-    window: tuple[int, int]
-    scales: dict[ClassKey, Coeff] = field(default_factory=dict)
+    __slots__ = ("weights", "max_length", "window", "scales")
+
+    def __init__(self, weights: tuple[HighestWeight, ...], max_length: int,
+                 window: tuple[int, int], scales: dict[ClassKey, Coeff] | None = None):
+        self.weights, self.max_length, self.window = weights, max_length, window
+        self.scales = {} if scales is None else scales
 
     def module(self) -> DirectSum:
         return DirectSum(self.weights)

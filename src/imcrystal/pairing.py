@@ -18,8 +18,6 @@ probe below tests that on a finite index window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .check import Check
 from .qcoeff import Coeff, congruent_mod_q2, format_coeff
 from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial, memo
@@ -52,12 +50,12 @@ def pair(a: Element, b: Element) -> Coeff:
 # Gram matrices
 
 
-@dataclass
 class GramMatrix:
-    weight: Weight
-    window: tuple[int, int]
-    basis: list[Monomial]
-    entries: list[list[Coeff]]
+    __slots__ = ("weight", "window", "basis", "entries")
+
+    def __init__(self, weight: Weight, window: tuple[int, int], basis: list[Monomial],
+                 entries: list[list[Coeff]]):
+        self.weight, self.window, self.basis, self.entries = weight, window, basis, entries
 
     def to_dict(self) -> dict:
         residues = []

@@ -31,15 +31,14 @@ factor or per rewrite step.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import total_ordering, wraps
 from itertools import combinations, combinations_with_replacement, filterfalse
 from operator import ge
 from types import GeneratorType
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .qcoeff import Coeff, QRat, _lift, format_coeff
+from .qcoeff import Coeff, QRat, _frozen, _lift, _set, format_coeff
 
 Monomial = tuple[int, ...]
 
@@ -52,12 +51,33 @@ class InhomogeneousError(ValueError):
         self.offending = (first, second)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Weight:
-    """Grading datum of a monomial: (length, total degree)."""
+    """Grading datum of a monomial: (length, total degree).  Immutable, and
+    equal, hashed and ordered as that pair, but never equal to a tuple."""
 
-    length: int
-    degree: int
+    __slots__ = ("length", "degree")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, length: int, degree: int):
+        _set(self, "length", length)
+        _set(self, "degree", degree)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.length, self.degree) == (other.length, other.degree)
+
+    def __lt__(self, other: Weight) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.length, self.degree) < (other.length, other.degree)
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.degree))
+
+    def __repr__(self) -> str:
+        return f"Weight(length={self.length!r}, degree={self.degree!r})"
 
 
 def monomial_weight(mono: Monomial) -> Weight:

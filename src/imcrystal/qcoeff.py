@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -110,17 +109,46 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the immutable value classes (QRat, qalgebra.Weight, verma.HighestWeight,
+# crystal.CrystalClass) set their slots once, through _set, and refuse any
+# later assignment or deletion
+
+_set = object.__setattr__
+
+
+def _frozen(self, *args) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+# ---------------------------------------------------------------------------
 # QRat: one rational function in s, computed through Coeff
 
 
-@dataclass(frozen=True)
 class QRat:
-    """Canonical rational function in s = q^(1/2); see module docstring."""
+    """Canonical rational function in s = q^(1/2); see module docstring.
+    Immutable, and equal and hashed by its four fields."""
 
-    scale: Fraction
-    shift: int
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("scale", "shift", "num", "den")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ...]):
+        _set(self, "scale", scale)
+        _set(self, "shift", shift)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QRat:
+            return NotImplemented
+        return (self.scale, self.shift, self.num, self.den) == (
+            other.scale, other.shift, other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.shift, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return (f"QRat(scale={self.scale!r}, shift={self.shift!r}, num={self.num!r}, "
+                f"den={self.den!r})")
 
     # -- constructors -------------------------------------------------------
 

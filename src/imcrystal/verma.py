@@ -33,39 +33,48 @@ that corrupted maps are detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .check import Check
-from .qcoeff import Coeff
+from .qcoeff import Coeff, _frozen, _set
 from .qalgebra import Element, Monomial, _linear_sum, format_element, memo, normalize_word
 from .kashiwara import PSI, _compositions, omega_at_one
 
 
-@dataclass(frozen=True)
 class HighestWeight:
-    """Highest-weight datum (h, d) with h nonzero (the reduced condition)."""
+    """Highest-weight datum (h, d) with h nonzero (the reduced condition);
+    immutable, and equal and hashed by (h, d)."""
 
-    h: int
-    d: int = 0
+    __slots__ = ("h", "d")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.h == 0:
+    def __init__(self, h: int, d: int = 0):
+        if h == 0:
             raise ValueError("not in the reduced category: need h != 0")
+        _set(self, "h", h)
+        _set(self, "d", d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HighestWeight:
+            return NotImplemented
+        return self.h == other.h and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.d))
 
 
-@dataclass
 class VermaVector:
-    """Finite sum over components i of (element_i) . v_i."""
+    """Finite sum over components i of (element_i) . v_i; zero components
+    are dropped."""
 
-    ambient: tuple[HighestWeight, ...]
-    components: dict[int, Element]
+    __slots__ = ("ambient", "components")
 
-    def __post_init__(self):
-        self.components = {i: e for i, e in self.components.items() if not e.is_zero}
+    def __init__(self, ambient: tuple[HighestWeight, ...], components: dict[int, Element]):
+        self.ambient = ambient
+        self.components = {i: e for i, e in components.items() if not e.is_zero}
         for i in self.components:
-            if not 0 <= i < len(self.ambient):
+            if not 0 <= i < len(ambient):
                 raise ValueError(f"component {i} outside the ambient sum")
 
     @property

@@ -182,8 +182,15 @@ def M1():
 
 class TestHighestWeight:
     def test_reduced_condition(self):
-        with pytest.raises(ValueError):
-            HighestWeight(0, 0)
+        for args in [(0,), (0, 0), (0, 3)]:
+            with pytest.raises(ValueError):
+                HighestWeight(*args)
+
+    def test_equal_and_hashed_by_h_and_d(self):
+        assert HighestWeight(1) == HighestWeight(1, 0)
+        assert HighestWeight(1, 0) != HighestWeight(1, 1) != HighestWeight(-1, 1)
+        assert hash(HighestWeight(3, 2)) == hash(HighestWeight(3, 2))
+        assert len({HighestWeight(1), HighestWeight(1, 0), HighestWeight(3)}) == 2
 
     def test_direct_sum_rejects_zero(self):
         with pytest.raises(ValueError):
