@@ -18,7 +18,7 @@ import sys
 from typing import Callable, Iterator
 
 from .check import Check
-from .qcoeff import Coeff, CoefficientError, congruent_mod_q2, format_coeff
+from .qcoeff import Coeff, CoefficientError, format_coeff, residue_mod_q2
 from .qalgebra import (
     Element,
     InhomogeneousError,
@@ -39,7 +39,6 @@ from . import kashiwara, pairing
 from .kashiwara import PSI, check_kashiwara_relation, omega_apply, omega_mono, omega_psi_closed
 from .verma import (
     GENERATORS,
-    DirectSum,
     HighestWeight,
     VermaVector,
     _h_scalar,
@@ -270,7 +269,7 @@ def suite_form(
     def not_adjoint(draw: tuple[Element, Element, int, Element]) -> str | None:
         a, b, m, _ = draw
         lhs = pairing.pair(Element.monomial((m,)) * a, b)
-        if lhs != pairing.pair(a, omega_apply(PSI, -m, b).specialize_gamma_one()):
+        if lhs != pairing.pair(a, kashiwara.omega_at_one(PSI, -m, b)):
             return f"adjointness fails at m={m} on {format_element(a)}"
 
     def pairs_across(draw: tuple[Element, Element, int, Element]) -> str | None:
@@ -374,7 +373,7 @@ def suite_module(
         "weight-decomposition", "local-nilpotency", "simplicity-probe",
     )
     rows = [[Check(name) for name in names] for _ in weights]
-    modules = [DirectSum([HighestWeight(h, d)]) for h in weights]
+    modules = [(HighestWeight(h, d),) for h in weights]
     ks = range(comp_range[0], comp_range[1] + 1)
     nonzero_pairs = [(k, l) for k in ks if k != 0 for l in ks if l != 0]
     sums = sorted({k + l for k in ks for l in ks})
@@ -385,7 +384,7 @@ def suite_module(
         # the weight-free table, computed once on the first module, whose
         # weight h[k] and x-[l] never read; hh and hx hold the two sides
         # that every M(h) compares
-        free = modules[0].inject(0, Element.monomial(mono))
+        free = VermaVector(modules[0], {0: Element.monomial(mono)})
         free_h = {k: act_h(k, free) for k in ks if k != 0}
         free_xm = {l: act_xminus(l, free) for l in sorted({*ks, *sums})}
         hh = {(k, l): act_h(k, free_h[l]) for k, l in nonzero_pairs}
@@ -397,12 +396,12 @@ def suite_module(
 
         for M, row in zip(modules, rows):
             rel_hh, rel_hx, rel_k, rel_d, rel_px, weight_dec, nilp, simple = row
-            v = M.inject(0, free.element(0))
-            tag = f"h={M.weights[0].h}, x{list(mono)}"
+            v = VermaVector(M, free.components)
+            tag = f"h={M[0].h}, x{list(mono)}"
 
             # the weight-free images as vectors of M, and the per-sample
             # table of the images that read the weight
-            h_, xm = ({i: M.inject(0, w.element(0)) for i, w in table.items()}
+            h_, xm = ({i: VermaVector(M, w.components) for i, w in table.items()}
                       for table in (free_h, free_xm))
             xp = {k: act_xplus(k, v) for k in sorted({*ks, *nilp_range})}
             cc = {p: current_commutator(p, v) for p in sums}
@@ -470,12 +469,11 @@ def suite_module(
     hs = list(dict.fromkeys(weights))[:2]
     if len(hs) == 1:
         hs.append(hs[0] + 1 if hs[0] != -1 else 1)
-    desc = DirectSum([HighestWeight(hs[0], d), HighestWeight(hs[1], d)])
+    desc = (HighestWeight(hs[0], d), HighestWeight(hs[1], d))
     sample_monos = enumerate_all(min(2, max_length), window)
-    single0 = DirectSum([HighestWeight(hs[0], d)])
-    inj_samples = [single0.inject(0, Element.monomial(m)) for m in sample_monos]
+    inj_samples = [VermaVector(desc[:1], {0: Element.monomial(m)}) for m in sample_monos]
     sum_samples = [
-        desc.inject(i, Element.monomial(m)) for m in sample_monos for i in (0, 1)
+        VermaVector(desc, {i: Element.monomial(m)}) for m in sample_monos for i in (0, 1)
     ]
     maps = [
         (injection_map(desc, 0), inj_samples),
@@ -578,6 +576,8 @@ def suite_crystal(
 
 
 SUITES = ("relations", "form", "crystal", "confluence", "module", "all")
+# the one suite that runs each corrupted fixture; `all` hands it to that one
+CORRUPT_OWNER = {"lattice": "crystal", "map": "module", "gram": "form"}
 
 
 def _given(**bounds) -> dict:
@@ -729,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=_parse_at_least(1), default=None)
     p.add_argument("--window", type=_parse_range, default=None)
     p.add_argument("--m", type=_parse_range, default=None, dest="m_range")
-    p.add_argument("--corrupt", choices=("lattice", "map", "gram"), default=None,
+    p.add_argument("--corrupt", choices=tuple(CORRUPT_OWNER), default=None,
                    help="run against a documented corrupted fixture (control)")
     add_format(p)
 
@@ -754,6 +754,11 @@ def main(argv: list[str] | None = None) -> int:
             # argparse stores '--' given as an option's own value as [],
             # without calling its type or checking its choices
             parser.error("an option value of '--' is not allowed")
+        # only verify has --corrupt; a single suite takes only its own fixture
+        owner = CORRUPT_OWNER.get(vars(args).get("corrupt"))
+        if owner and args.suite not in ("all", owner):
+            parser.error(f"--corrupt {args.corrupt} is a fixture of the {owner} suite, "
+                         f"not of {args.suite}")
     except SystemExit as stop:
         return int(stop.code or 0) and EXIT_PARSE
 
@@ -774,15 +779,12 @@ def main(argv: list[str] | None = None) -> int:
             b = parse_element(args.rhs).specialize_gamma_one()
             value = pairing.pair(a, b)
             shown = format_coeff(value)
-            text = shown
-            if value.is_regular_at_zero():
-                r = value.constant_at_zero()
-                if congruent_mod_q2(value, r):
-                    text += f" (= {r} mod q^2)"
-                else:
-                    text += " (not congruent to a rational mod q^2)"
+            if (r := residue_mod_q2(value)) is not None:
+                text = f"{shown} (= {r} mod q^2)"
+            elif value.is_regular_at_zero():
+                text = f"{shown} (not congruent to a rational mod q^2)"
             else:
-                text += " (pole at q = 0)"
+                text = f"{shown} (pole at q = 0)"
             _emit({"value": shown, "display": text}, args.format, text)
             return EXIT_PASS
 
@@ -796,8 +798,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PASS
 
         if args.command == "act":
-            module = DirectSum([HighestWeight(args.hw, args.dw)])
-            v = module.inject(0, parse_element(args.expr).specialize_gamma_one())
+            # the weight first, so that h = 0 is a domain error before any
+            # parse error
+            module = (HighestWeight(args.hw, args.dw),)
+            v = VermaVector(module, {0: parse_element(args.expr).specialize_gamma_one()})
             text = format_vector(GENERATORS[args.gen](args.k, v))
             _emit({"vector": text}, args.format, text)
             return EXIT_PASS

@@ -37,10 +37,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .check import Check
-from .qcoeff import Coeff, _frozen, _set
+from .qcoeff import Coeff, _Value, _set
 from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial, memo
 from .verma import (
-    DirectSum,
     HighestWeight,
     VermaVector,
     act_D,
@@ -53,25 +52,19 @@ from .verma import (
 ClassKey = tuple[int, Monomial]  # (component id, normal monomial)
 
 
-class CrystalClass:
+class CrystalClass(_Value):
     """Signed normal monomial class in L/qL; zero is represented by None.
-    Immutable, and equal and hashed by (sign, mono, component)."""
+    An immutable value of (sign, mono, component)."""
 
     __slots__ = ("sign", "mono", "component")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, sign: int, mono: Monomial, component: int):
         _set(self, "sign", sign)
         _set(self, "mono", mono)
         _set(self, "component", component)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CrystalClass:
-            return NotImplemented
-        return (self.sign, self.mono, self.component) == (other.sign, other.mono, other.component)
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.mono, self.component))
+    def _key(self) -> tuple:
+        return self.sign, self.mono, self.component
 
     def describe(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
@@ -88,9 +81,6 @@ class LatticeDesc:
                  window: tuple[int, int], scales: dict[ClassKey, Coeff] | None = None):
         self.weights, self.max_length, self.window = weights, max_length, window
         self.scales = {} if scales is None else scales
-
-    def module(self) -> DirectSum:
-        return DirectSum(self.weights)
 
     def scale(self, component: int, mono: Monomial) -> Coeff:
         return self.scales.get((component, mono), Coeff.one())
@@ -113,7 +103,7 @@ class LatticeDesc:
     def lift(self, b: CrystalClass) -> VermaVector:
         """Lattice generator representing the class: sign * scale * mono . v."""
         elem = Element({b.mono: self.scale(b.component, b.mono) * b.sign})
-        return self.module().inject(b.component, elem)
+        return VermaVector(self.weights, {b.component: elem})
 
 
 def _pole_text(key: ClassKey) -> str:
@@ -304,10 +294,9 @@ Split = tuple[list[VermaVector], ...]
 
 def canonical_split(lat: LatticeDesc) -> Split:
     """The component split: part j is spanned by component-j generators."""
-    module = lat.module()
     parts: Split = tuple([] for _ in lat.weights)
     for i, mono in lat.class_keys():
-        parts[i].append(module.inject(i, Element({mono: lat.scale(i, mono)})))
+        parts[i].append(VermaVector(lat.weights, {i: Element({mono: lat.scale(i, mono)})}))
     return parts
 
 
@@ -316,12 +305,11 @@ def diagonal_control_split(lat: LatticeDesc) -> Split:
     it is not contained in either summand."""
     if len(lat.weights) != 2:
         raise ValueError("diagonal control needs exactly two components")
-    module = lat.module()
     diag, anti = [], []
     for mono in enumerate_all(lat.max_length, lat.window):
         e = Element({mono: Coeff.one()})
-        diag.append(module.inject(0, e) + module.inject(1, e))
-        anti.append((module.inject(0, e) - module.inject(1, e)) * Coeff.q_power(2))
+        diag.append(VermaVector(lat.weights, {0: e, 1: e}))
+        anti.append(VermaVector(lat.weights, {0: e, 1: -e}) * Coeff.q_power(2))
     return diag, anti
 
 

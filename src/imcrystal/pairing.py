@@ -19,7 +19,7 @@ probe below tests that on a finite index window.
 from __future__ import annotations
 
 from .check import Check
-from .qcoeff import Coeff, congruent_mod_q2, format_coeff
+from .qcoeff import Coeff, congruent_mod_q2, format_coeff, residue_mod_q2
 from .qalgebra import Element, Monomial, Weight, enumerate_basis, format_monomial, memo
 from .kashiwara import PSI, omega_at_one
 
@@ -58,16 +58,8 @@ class GramMatrix:
         self.weight, self.window, self.basis, self.entries = weight, window, basis, entries
 
     def to_dict(self) -> dict:
-        residues = []
-        for row in self.entries:
-            rrow = []
-            for c in row:
-                if c.is_regular_at_zero():
-                    v = c.constant_at_zero()
-                    rrow.append(str(v) if congruent_mod_q2(c, v) else None)
-                else:
-                    rrow.append(None)
-            residues.append(rrow)
+        residues = [[None if (r := residue_mod_q2(c)) is None else str(r) for c in row]
+                    for row in self.entries]
         return {
             "weight": [self.weight.length, self.weight.degree],
             "window": list(self.window),

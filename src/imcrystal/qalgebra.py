@@ -38,7 +38,7 @@ from operator import ge
 from types import GeneratorType
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .qcoeff import Coeff, QRat, _frozen, _lift, _set, format_coeff
+from .qcoeff import Coeff, QRat, _Value, _lift, _set, format_coeff
 
 Monomial = tuple[int, ...]
 
@@ -52,32 +52,23 @@ class InhomogeneousError(ValueError):
 
 
 @total_ordering
-class Weight:
-    """Grading datum of a monomial: (length, total degree).  Immutable, and
-    equal, hashed and ordered as that pair, but never equal to a tuple."""
+class Weight(_Value):
+    """Grading datum of a monomial: (length, total degree).  An immutable
+    value of that pair, and ordered as it."""
 
     __slots__ = ("length", "degree")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, length: int, degree: int):
         _set(self, "length", length)
         _set(self, "degree", degree)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.length, self.degree) == (other.length, other.degree)
+    def _key(self) -> tuple:
+        return self.length, self.degree
 
     def __lt__(self, other: Weight) -> bool:
         if other.__class__ is not Weight:
             return NotImplemented
-        return (self.length, self.degree) < (other.length, other.degree)
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.degree))
-
-    def __repr__(self) -> str:
-        return f"Weight(length={self.length!r}, degree={self.degree!r})"
+        return self._key() < other._key()
 
 
 def monomial_weight(mono: Monomial) -> Weight:

@@ -110,26 +110,48 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # the immutable value classes (QRat, qalgebra.Weight, verma.HighestWeight,
-# crystal.CrystalClass) set their slots once, through _set, and refuse any
-# later assignment or deletion
+# crystal.CrystalClass) derive from _Value and set their slots once, in
+# their own __init__, through _set
 
 _set = object.__setattr__
 
 
-def _frozen(self, *args) -> None:
-    raise AttributeError(f"{type(self).__name__} is immutable")
+class _Value:
+    """An immutable value.  A subclass lists its fields in __slots__ and
+    returns them, in that order, from _key: it is equal to an instance of
+    its own class with the same key (never to a tuple), hashed by the key,
+    printed as Name(field=value, ...), and refuses any assignment or
+    deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
 # QRat: one rational function in s, computed through Coeff
 
 
-class QRat:
+class QRat(_Value):
     """Canonical rational function in s = q^(1/2); see module docstring.
-    Immutable, and equal and hashed by its four fields."""
+    An immutable value of its four fields."""
 
     __slots__ = ("scale", "shift", "num", "den")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, scale: Fraction, shift: int, num: tuple[int, ...], den: tuple[int, ...]):
         _set(self, "scale", scale)
@@ -137,18 +159,8 @@ class QRat:
         _set(self, "num", num)
         _set(self, "den", den)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not QRat:
-            return NotImplemented
-        return (self.scale, self.shift, self.num, self.den) == (
-            other.scale, other.shift, other.num, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.scale, self.shift, self.num, self.den))
-
-    def __repr__(self) -> str:
-        return (f"QRat(scale={self.scale!r}, shift={self.shift!r}, num={self.num!r}, "
-                f"den={self.den!r})")
+    def _key(self) -> tuple:
+        return self.scale, self.shift, self.num, self.den
 
     # -- constructors -------------------------------------------------------
 
@@ -592,6 +604,16 @@ def _content(pairs: list[tuple[int, int]]) -> int:
 def congruent_mod_q2(c: Coeff, target: Rational) -> bool:
     """True iff c is congruent to the rational target modulo q^2."""
     return (c - Coeff.rational(target)).valuation() >= 4
+
+
+def residue_mod_q2(c: Coeff) -> Fraction | None:
+    """The rational that the gamma-free c is congruent to modulo q^2, or
+    None when there is none: c has a pole at q = 0, or c minus its value at
+    0 is not divisible by q^2."""
+    if not c.is_regular_at_zero():
+        return None
+    r = c.constant_at_zero()
+    return r if congruent_mod_q2(c, r) else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 A component is the module generated by a vector v with K v = q^(h) v,
 D v = q^(d) v, annihilated by all raising generators and all Heisenberg
 generators, over a highest weight with h != 0; the central element acts
-trivially, so every computation here is at gamma = 1.  Vectors are stored
-as a finite map from component id to an algebra element, meaning
-(element) . v_i summed over components.
+trivially, so every computation here is at gamma = 1.  A direct sum is the
+tuple of the highest weights of its components, and a vector of it is a
+finite map from component id to an algebra element, meaning (element) . v_i
+summed over components; VermaVector(weights, {i: e}) is the canonical
+injection of the i-th summand.
 
 Generator actions:
 
@@ -37,17 +39,16 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .check import Check
-from .qcoeff import Coeff, _frozen, _set
+from .qcoeff import Coeff, _Value, _set
 from .qalgebra import Element, Monomial, _linear_sum, format_element, memo, normalize_word
 from .kashiwara import PSI, _compositions, omega_at_one
 
 
-class HighestWeight:
+class HighestWeight(_Value):
     """Highest-weight datum (h, d) with h nonzero (the reduced condition);
-    immutable, and equal and hashed by (h, d)."""
+    an immutable value of (h, d)."""
 
     __slots__ = ("h", "d")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, h: int, d: int = 0):
         if h == 0:
@@ -55,27 +56,23 @@ class HighestWeight:
         _set(self, "h", h)
         _set(self, "d", d)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HighestWeight:
-            return NotImplemented
-        return self.h == other.h and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.h, self.d))
+    def _key(self) -> tuple:
+        return self.h, self.d
 
 
 class VermaVector:
-    """Finite sum over components i of (element_i) . v_i; zero components
-    are dropped."""
+    """Finite sum over components i of (element_i) . v_i in the direct sum
+    of the ambient weights; every given component must be one of the sum,
+    and zero ones are dropped."""
 
     __slots__ = ("ambient", "components")
 
     def __init__(self, ambient: tuple[HighestWeight, ...], components: dict[int, Element]):
-        self.ambient = ambient
-        self.components = {i: e for i, e in components.items() if not e.is_zero}
-        for i in self.components:
+        for i in components:
             if not 0 <= i < len(ambient):
                 raise ValueError(f"component {i} outside the ambient sum")
+        self.ambient = ambient
+        self.components = {i: e for i, e in components.items() if not e.is_zero}
 
     @property
     def is_zero(self) -> bool:
@@ -119,25 +116,6 @@ def format_vector(v: VermaVector) -> str:
         lam = v.ambient[i]
         parts.append(f"[{i}] {format_element(v.components[i])} @ (h={lam.h},d={lam.d})")
     return " ; ".join(parts)
-
-
-class DirectSum:
-    """Descriptor of a finite direct sum of reduced highest-weight modules."""
-
-    def __init__(self, weights: Iterable[HighestWeight]):
-        self.weights = tuple(weights)
-
-    def inject(self, i: int, e: Element) -> VermaVector:
-        """Canonical injection of the i-th summand."""
-        if not 0 <= i < len(self.weights):
-            raise ValueError(f"no component {i}")
-        return VermaVector(self.weights, {i: e})
-
-    def project(self, i: int, v: VermaVector) -> VermaVector:
-        """Canonical projection onto the i-th summand, as a vector there."""
-        if v.ambient != self.weights:
-            raise ValueError("vector does not live in this sum")
-        return VermaVector((self.weights[i],), {0: v.element(i)})
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +332,33 @@ def simplicity_probe(v: VermaVector) -> list[int] | None:
     return None
 
 
-# a linear map between module descriptors, checked for intertwining: its
-# name and its function
+# a linear map between direct sums, checked for intertwining: its name and
+# its function
 ModuleMap = tuple[str, Callable[[VermaVector], VermaVector]]
 
 
-def injection_map(desc: DirectSum, i: int) -> ModuleMap:
-    return f"inject[{i}]", lambda v: desc.inject(i, v.element(0))
+def injection_map(weights: tuple[HighestWeight, ...], i: int) -> ModuleMap:
+    """Canonical injection of a vector of the i-th summand into the sum."""
+    return f"inject[{i}]", lambda v: VermaVector(weights, {i: v.element(0)})
 
 
-def projection_map(desc: DirectSum, i: int) -> ModuleMap:
-    return f"project[{i}]", lambda v: desc.project(i, v)
+def projection_map(weights: tuple[HighestWeight, ...], i: int) -> ModuleMap:
+    """Canonical projection of a vector of the sum onto the i-th summand."""
+
+    def project(v: VermaVector) -> VermaVector:
+        if v.ambient != weights:
+            raise ValueError("vector does not live in this sum")
+        return VermaVector((weights[i],), {0: v.element(i)})
+
+    return f"project[{i}]", project
 
 
-def component_swap_map(desc: DirectSum) -> ModuleMap:
+def component_swap_map(weights: tuple[HighestWeight, ...]) -> ModuleMap:
     """Control fixture: swap the two components of a 2-component sum.  Not a
     module map when the weights differ, so intertwining checks must fail."""
-    if len(desc.weights) != 2:
+    if len(weights) != 2:
         raise ValueError("swap control needs exactly two components")
-    return "swap", lambda v: VermaVector(desc.weights, {1 - i: e for i, e in v.components.items()})
+    return "swap", lambda v: VermaVector(weights, {1 - i: e for i, e in v.components.items()})
 
 
 def verify_intertwining(

@@ -16,8 +16,8 @@ from imcrystal.qalgebra import Element, enumerate_all, normalize_word
 from imcrystal.kashiwara import RELATIONS, check_kashiwara_relation
 from imcrystal.pairing import pair
 from imcrystal.verma import (
-    DirectSum,
     HighestWeight,
+    VermaVector,
     component_swap_map,
     verify_intertwining,
 )
@@ -245,8 +245,8 @@ def test_criterion_9_negative_controls():
     )
 
     # swapped-component map
-    desc = DirectSum([HighestWeight(1, 0), HighestWeight(3, 0)])
-    samples = [desc.inject(i, Element.monomial(m)) for m in enumerate_all(1, (-1, 1))
+    desc = (HighestWeight(1, 0), HighestWeight(3, 0))
+    samples = [VermaVector(desc, {i: Element.monomial(m)}) for m in enumerate_all(1, (-1, 1))
                for i in (0, 1)]
     swap_rep = verify_intertwining(component_swap_map(desc), samples, (-1, 1))
     swap_ok = not swap_rep.passed and bool(swap_rep.witnesses)

@@ -114,6 +114,14 @@ class TestPair:
         code, out, _ = run("pair", "x[0]", "x[1]")
         assert code == EXIT_PASS and out.startswith("0")
 
+    @pytest.mark.parametrize("lhs, expected", [
+        ("(q^-2)*x[0]", "q^-2 (pole at q = 0)"),
+        ("(q)*x[0]", "q (not congruent to a rational mod q^2)"),
+    ])
+    def test_pole_and_incongruence_told_apart(self, lhs, expected):
+        code, out, _ = run("pair", lhs, "x[0]")
+        assert code == EXIT_PASS and out == expected
+
 
 class TestGram:
     def test_json(self):
@@ -142,6 +150,10 @@ class TestAct:
 
     def test_zero_weight_is_domain_error(self):
         code, _, err = run("act", "--gen", "x+", "-k", "0", "--h", "0", "x[0]")
+        assert code == EXIT_DOMAIN and "reduced" in err
+
+    def test_zero_weight_is_read_before_the_element(self):
+        code, _, err = run("act", "--h", "0", "--gen", "x+", "x[")
         assert code == EXIT_DOMAIN and "reduced" in err
 
     @pytest.mark.parametrize(
@@ -396,6 +408,16 @@ class TestVerify:
         status = {r["name"]: r["status"] for r in json.loads(out)["reports"][0]["results"]}
         assert status["intertwining-maps"] == "fail"
         assert status["swap-control-detected"] == "pass"
+
+    @pytest.mark.parametrize("suite, fixture", [
+        (suite, fixture)
+        for suite in ("relations", "form", "crystal", "confluence", "module")
+        for fixture, owner in cli.CORRUPT_OWNER.items() if suite != owner
+    ])
+    def test_corrupt_fixture_of_another_suite_rejected(self, suite, fixture):
+        code, out, err = run("verify", suite, "--corrupt", fixture)
+        assert code == EXIT_PARSE and out == ""
+        assert f"--corrupt {fixture} is a fixture of the {cli.CORRUPT_OWNER[fixture]} suite" in err
 
     def test_inverted_m_range_rejected(self):
         code, out, err = run("verify", "relations", "--m", "2:-2")

@@ -11,7 +11,7 @@ import pytest
 from imcrystal import cli, crystal
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element
-from imcrystal.verma import HighestWeight
+from imcrystal.verma import HighestWeight, VermaVector
 from imcrystal.crystal import (
     CrystalClass,
     LatticeDesc,
@@ -33,7 +33,7 @@ def lat():
 
 def vec(lat, mono, coeff=None):
     e = Element.monomial(mono, coeff)
-    return lat.module().inject(0, e)
+    return VermaVector(lat.weights, {0: e})
 
 
 def crystal_image_omega(m, b, lat):

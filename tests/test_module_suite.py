@@ -15,8 +15,8 @@ from imcrystal.check import Check
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element, Weight, enumerate_all
 from imcrystal.verma import (
-    DirectSum,
     HighestWeight,
+    VermaVector,
     act_D,
     act_h,
     act_K,
@@ -44,8 +44,8 @@ def suite_module_per_sample_uncached(weights, d, max_length, window, comp_range)
     lo, hi = comp_range
     monos = enumerate_all(max_length, window)
     for h in weights:
-        M = DirectSum([HighestWeight(h, d)])
-        samples = [(mono, M.inject(0, Element.monomial(mono))) for mono in monos]
+        M = (HighestWeight(h, d),)
+        samples = [(mono, VermaVector(M, {0: Element.monomial(mono)})) for mono in monos]
         for mono, v in samples:
             tag = f"h={h}, x{list(mono)}"
             for k in range(lo, hi + 1):
@@ -191,10 +191,10 @@ def test_weight_free_images_are_computed_once_per_monomial(monkeypatch):
 def test_h_and_xminus_do_not_read_the_weight(d):
     # the premise of the weight-free table: h[k], x-[l] and D^-1 give the
     # same element on M(1), M(2) and M(-1)
-    modules = [DirectSum([HighestWeight(h, d)]) for h in (1, 2, -1)]
+    modules = [(HighestWeight(h, d),) for h in (1, 2, -1)]
     ks = range(-2, 3)
     for mono in enumerate_all(3, (-2, 2)):
-        vs = [M.inject(0, Element.monomial(mono)) for M in modules]
+        vs = [VermaVector(M, {0: Element.monomial(mono)}) for M in modules]
         images = [
             [act_h(k, v).element(0) for k in ks if k != 0]
             + [act_xminus(l, v).element(0) for l in ks]

@@ -23,6 +23,7 @@ from imcrystal.qcoeff import (
     g_coeff,
     g_coeff_bar,
     quantum_int,
+    residue_mod_q2,
 )
 
 
@@ -370,6 +371,18 @@ class TestCongruence:
         assert congruent_mod_q2(Coeff.q_power(4), 0)
         assert not congruent_mod_q2(Coeff.q_power(2), 0)
         assert congruent_mod_q2(Coeff.rational(5), 5)
+
+    def test_residue(self):
+        third = Coeff.rational(Fraction(1, 3))
+        assert residue_mod_q2(third + Coeff.q_power(4)) == Fraction(1, 3)
+        assert residue_mod_q2(Coeff.q_power(4)) == 0
+        assert residue_mod_q2(Coeff.zero()) == 0
+        # regular at 0, but off its value there by q^(1/2) or q
+        assert residue_mod_q2(third + Coeff.q_power(1)) is None
+        assert residue_mod_q2(Coeff.q_power(2)) is None
+        # a pole at 0, and a non-Laurent value regular at 0
+        assert residue_mod_q2(Coeff.q_power(-2) + Coeff.one()) is None
+        assert residue_mod_q2(Coeff.one() / (Coeff.one() - Coeff.q_power(4))) == 1
 
 
 class TestGammaArithmetic:

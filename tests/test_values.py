@@ -1,7 +1,7 @@
 """The value classes: what their callers rely on of equality, hashing,
 order, printed form and immutability, each record's own fresh containers,
 and an import of the command line that loads neither `dataclasses` nor
-`inspect`.  `HighestWeight` is covered in test_verma.py."""
+`inspect`.  `HighestWeight` is covered further in test_verma.py."""
 
 import os
 import subprocess
@@ -33,6 +33,42 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert not {"dataclasses", "inspect"} & set(out), f"newly loaded: {out}"
+
+
+# each immutable value class: two builds of one value, and a build of
+# another value of the same class
+VALUES = {
+    "Weight": (lambda: Weight(1, 2), lambda: Weight(2, 1)),
+    "QRat": (lambda: QRat(Fraction(2, 3), -1, (1, 1), (1,)),
+             lambda: QRat(Fraction(2, 3), -1, (1, 1), (1, 2))),
+    "HighestWeight": (lambda: HighestWeight(3, -2), lambda: HighestWeight(3, 2)),
+    "CrystalClass": (lambda: CrystalClass(-1, (1, 0), 2), lambda: CrystalClass(1, (1, 0), 2)),
+}
+
+
+@pytest.mark.parametrize("build, other", VALUES.values(), ids=VALUES)
+class TestValueClass:
+    def test_assignment_and_deletion_raise(self, build, other):
+        v = build()
+        for field in v.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(v, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(v, field)
+        with pytest.raises(AttributeError):
+            v.extra = 0
+        assert v == build()
+
+    def test_equal_and_hashed_by_value(self, build, other):
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != other() and len({a, b, other()}) == 2
+
+    def test_never_equal_to_the_tuple_of_its_fields(self, build, other):
+        v = build()
+        fields = tuple(getattr(v, field) for field in v.__slots__)
+        assert v != fields and fields != v
+        assert fields not in {v} and v not in {fields}
 
 
 class TestWeight:
