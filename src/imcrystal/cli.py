@@ -251,7 +251,7 @@ def suite_form(
     samples: int = 200,
     max_length: int = 3,
     window: tuple[int, int] = (-2, 2),
-    corrupt: str | None = None,
+    corrupt: bool = False,
 ) -> SuiteReport:
     rng = random.Random(seed)
     draws = []  # (a, b, m, c): b of the weight of a, c of a random weight
@@ -279,7 +279,7 @@ def suite_form(
 
     def off_delta(case: tuple[int, tuple[int, int, pairing.GramMatrix]]) -> list[str]:
         i, (k, d, g) = case
-        if corrupt == "gram" and i == 0:
+        if corrupt and i == 0:
             g.entries[0][0] = g.entries[0][0] + Coeff.q_power(2)
         return [f"weight ({k},{d}): {w}" for w in pairing.orthonormality_report(g).witnesses]
 
@@ -332,7 +332,7 @@ def suite_form(
     return SuiteReport(
         "form",
         {"samples": samples, "max_length": max_length, "window": list(window),
-         "corrupt": corrupt},
+         "corrupt": SUITES["form"] if corrupt else None},
         seed,
         results,
     )
@@ -349,7 +349,7 @@ def suite_module(
     window: tuple[int, int] = (-2, 2),
     comp_range: tuple[int, int] = (-2, 2),
     seed: int = DEFAULT_SEED,
-    corrupt: str | None = None,
+    corrupt: bool = False,
 ) -> SuiteReport:
     """The Drinfeld relations, weight grading, local nilpotency and
     simplicity of M(h, d) on every monomial sample within the bounds, then
@@ -480,7 +480,7 @@ def suite_module(
         (projection_map(desc, 0), sum_samples),
         (projection_map(desc, 1), sum_samples),
     ]
-    if corrupt == "map":
+    if corrupt:
         maps.append((component_swap_map(desc), sum_samples))
     intertwine = Check.fold(
         "intertwining-maps", (verify_intertwining(nu, s, (-2, 2)) for nu, s in maps)
@@ -500,7 +500,7 @@ def suite_module(
             "window": list(window),
             "components": list(comp_range),
             "nilpotency_range": list(NILPOTENCY_RANGE),
-            "corrupt": corrupt,
+            "corrupt": SUITES["module"] if corrupt else None,
         },
         seed,
         [*sample_checks, intertwine, swap_control],
@@ -514,11 +514,11 @@ def suite_crystal(
     window: tuple[int, int] = (-2, 2),
     m_range: tuple[int, int] = (-3, 3),
     seed: int = DEFAULT_SEED,
-    corrupt: str | None = None,
+    corrupt: bool = False,
 ) -> SuiteReport:
     def lattice(hs: tuple[int, ...]) -> LatticeDesc:
         lat = LatticeDesc(tuple(HighestWeight(h, d) for h in hs), max_length, window)
-        return corrupted_lattice(lat) if corrupt == "lattice" else lat
+        return corrupted_lattice(lat) if corrupt else lat
 
     # the tilde images are memoised without the weight, which they do not
     # depend on, so every lattice below reads the same entries; each axiom
@@ -528,11 +528,12 @@ def suite_crystal(
         for h in weights
     ]
     if len(weights) >= 2:
-        lat2 = lattice(weights[:2])
+        # the conjunction of the components, taken before the sum's own result
+        components_pass = all(r.passed for r in results)
+        lat_sum = lattice(weights)
         results.append(
-            Check.fold("axioms-direct-sum", verify_crystal_axioms(lat2, m_range), tag=True)
+            Check.fold("axioms-direct-sum", verify_crystal_axioms(lat_sum, m_range), tag=True)
         )
-        components_pass = results[0].passed and results[1].passed
         lat_eq = LatticeDesc((HighestWeight(weights[0], d),) * 2, min(1, max_length), window)
         results += [
             Check("direct-sum-coherence").run(
@@ -542,7 +543,7 @@ def suite_crystal(
             ),
             # a split is (witnesses, the axiom results of each block)
             Check("split-canonical").run(
-                [split_converse_check(lat2, canonical_split(lat2), m_range)],
+                [split_converse_check(lat_sum, canonical_split(lat_sum), m_range)],
                 lambda split: split[0] or (
                     None if all(r.passed for block in split[1] for r in block)
                     else "restricted axiom run failed"
@@ -568,16 +569,30 @@ def suite_crystal(
             "max_length": max_length,
             "window": list(window),
             "m_range": list(m_range),
-            "corrupt": corrupt,
+            "corrupt": SUITES["crystal"] if corrupt else None,
         },
         seed,
         results,
     )
 
 
-SUITES = ("relations", "form", "crystal", "confluence", "module", "all")
-# the one suite that runs each corrupted fixture; `all` hands it to that one
-CORRUPT_OWNER = {"lattice": "crystal", "map": "module", "gram": "form"}
+# the verify suites in `verify all` order, each with the corrupted fixture
+# it owns, or None
+SUITES = {"confluence": None, "relations": None, "form": "gram", "module": "map",
+          "crystal": "lattice"}
+
+
+def fixture_error(suite: str, fixture: str | None) -> str | None:
+    """Why `suite` may not run the corrupted `fixture`, or None when it may:
+    each fixture is run by the one suite that owns it, and `all` hands it
+    to that suite; every suite runs without one."""
+    # no fixture (None) finds a suite that owns none: only an unknown name
+    # has no owner
+    owner = next((name for name, owned in SUITES.items() if owned == fixture), None)
+    if owner is None:
+        return f"unknown fixture {fixture!r}"
+    if fixture is not None and suite not in ("all", owner):
+        return f"--corrupt {fixture} is a fixture of the {owner} suite, not of {suite}"
 
 
 def _given(**bounds) -> dict:
@@ -600,24 +615,22 @@ def run_suite(
     for bound in (window, m_range):
         if bound is not None and bound[0] > bound[1]:
             raise ValueError(f"empty range {bound[0]}:{bound[1]}: need a <= b")
+    if why := fixture_error(name, corrupt):
+        raise ValueError(why)
     if name == "all":
-        reports = []
-        for sub in ("confluence", "relations", "form", "module", "crystal"):
-            reports.extend(
-                run_suite(
-                    sub, seed=seed, weights=weights, d=d, max_length=max_length,
-                    window=window, m_range=m_range, corrupt=corrupt,
-                )
-            )
-        return reports
+        # each suite gets its own fixture or none
+        return [report for sub, owned in SUITES.items() for report in run_suite(
+            sub, seed=seed, weights=weights, d=d, max_length=max_length, window=window,
+            m_range=m_range, corrupt=corrupt if owned == corrupt else None)]
     shared = _given(max_length=max_length, window=window)
     if name == "confluence":
         return [suite_confluence(seed=seed, **shared)]
     if name == "relations":
         return [suite_relations(seed=seed, **shared, **_given(comp_range=m_range))]
+    # past the rule, a fixture given is the named suite's own
     if name == "form":
-        return [suite_form(seed=seed, corrupt=corrupt, **shared)]
-    shared.update(_given(weights=weights or None), seed=seed, d=d, corrupt=corrupt)
+        return [suite_form(seed=seed, corrupt=corrupt is not None, **shared)]
+    shared.update(_given(weights=weights or None), seed=seed, d=d, corrupt=corrupt is not None)
     if name == "module":
         return [suite_module(**shared, **_given(comp_range=m_range))]
     if name == "crystal":
@@ -721,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--h", type=_parse_int_list, default=None, dest="hw",
                    help="comma-separated highest weights")
@@ -729,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=_parse_at_least(1), default=None)
     p.add_argument("--window", type=_parse_range, default=None)
     p.add_argument("--m", type=_parse_range, default=None, dest="m_range")
-    p.add_argument("--corrupt", choices=tuple(CORRUPT_OWNER), default=None,
+    p.add_argument("--corrupt", choices=tuple(filter(None, SUITES.values())), default=None,
                    help="run against a documented corrupted fixture (control)")
     add_format(p)
 
@@ -754,11 +767,9 @@ def main(argv: list[str] | None = None) -> int:
             # argparse stores '--' given as an option's own value as [],
             # without calling its type or checking its choices
             parser.error("an option value of '--' is not allowed")
-        # only verify has --corrupt; a single suite takes only its own fixture
-        owner = CORRUPT_OWNER.get(vars(args).get("corrupt"))
-        if owner and args.suite not in ("all", owner):
-            parser.error(f"--corrupt {args.corrupt} is a fixture of the {owner} suite, "
-                         f"not of {args.suite}")
+        # only verify has a suite and --corrupt
+        if why := fixture_error(vars(args).get("suite"), vars(args).get("corrupt")):
+            parser.error(why)
     except SystemExit as stop:
         return int(stop.code or 0) and EXIT_PARSE
 
@@ -835,9 +846,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, CoefficientError, ZeroDivisionError) as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_PARSE
 
 
 if __name__ == "__main__":

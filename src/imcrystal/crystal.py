@@ -106,9 +106,13 @@ class LatticeDesc:
         return VermaVector(self.weights, {b.component: elem})
 
 
-def _pole_text(key: ClassKey) -> str:
+def _key_text(key: ClassKey) -> str:
     comp, mono = key
-    return f"coordinate of [{comp}]{format_monomial(mono)} has a pole at 0"
+    return f"[{comp}]{format_monomial(mono)}"
+
+
+def _pole_text(key: ClassKey) -> str:
+    return f"coordinate of {_key_text(key)} has a pole at 0"
 
 
 class NotInLatticeError(ValueError):
@@ -369,14 +373,11 @@ def split_converse_check(
                 continue
             key = (comp, mono)
             if key in cover:
-                witnesses.append(f"generator for {key} covered twice")
+                witnesses.append(f"generator for {_key_text(key)} covered twice")
             cover[key] = j
     for key in lat.class_keys():
         if key not in cover:
-            comp, mono = key
-            witnesses.append(
-                f"lattice generator [{comp}]{format_monomial(mono)} not covered by the split"
-            )
+            witnesses.append(f"lattice generator {_key_text(key)} not covered by the split")
     if witnesses:
         return witnesses, []
     blocks = [

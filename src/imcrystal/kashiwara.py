@@ -68,15 +68,21 @@ _ONE = Coeff.one()
 _OMEGA_CACHE: dict[tuple[str, int, Monomial], Element] = {}
 
 
+def _sign(kind: str) -> int:
+    """+1 on the psi side, -1 on the phi side; each public operator reads
+    it before any term, so an unknown kind raises on every element."""
+    if kind not in _SIGN:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return _SIGN[kind]
+
+
 @memo(_OMEGA_CACHE)
 def _omega_one(kind: str, p: int, mono: Monomial) -> Generator[list, list, Element]:
     """One annihilation-operator component on a monomial, at gamma = 1.
 
     The body yields the keys of the components on the rest of the monomial
     and `memo` sends their values; callers always get the element."""
-    sign = _SIGN.get(kind)
-    if sign is None:
-        raise ValueError(f"unknown operator kind {kind!r}")
+    sign = _SIGN[kind]
     if not mono:
         return Element.zero()
     m, rest = mono[0], mono[1:]
@@ -97,24 +103,26 @@ def _times_gamma(e: Element, halfexp: int) -> Element:
 
 def omega_mono(kind: str, p: int, mono: Monomial) -> Element:
     """Apply one annihilation-operator component to a normal monomial."""
-    return _times_gamma(_omega_one(kind, p, mono), 2 * _SIGN[kind] * p)
+    halfexp = 2 * _sign(kind) * p
+    return _times_gamma(_omega_one(kind, p, mono), halfexp)
 
 
 def omega_apply(kind: str, p: int, e: Element) -> Element:
     """Linear extension over an element; gamma in coefficients commutes, so
     the sum is taken at gamma = 1 and gamma^(+-p) is restored once, on it."""
+    halfexp = 2 * _sign(kind) * p
     if len(e._terms) == 1:
         # a monomial reads its image: no sum to take
         (mono, c), = e._terms.items()
         if c == _ONE:
             return omega_mono(kind, p, mono)
-    # an unknown kind has raised in _omega_one, unless e is zero
-    return _times_gamma(omega_at_one(kind, p, e), 2 * _SIGN.get(kind, 0) * p)
+    return _times_gamma(omega_at_one(kind, p, e), halfexp)
 
 
 def omega_at_one(kind: str, p: int, e: Element) -> Element:
     """The image of a gamma-free e at gamma = 1; on any e, omega_apply(kind,
     p, e) without its factor gamma^(+-p)."""
+    _sign(kind)
     return _linear_sum((_omega_one(kind, p, mono), c) for mono, c in e._terms.items())
 
 

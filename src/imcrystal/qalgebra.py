@@ -38,7 +38,7 @@ from operator import ge
 from types import GeneratorType
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .qcoeff import Coeff, QRat, _Value, _lift, _set, format_coeff
+from .qcoeff import Coeff, QRat, _Value, _lift, _set, format_coeff, join_signed, prints_as_sum
 
 Monomial = tuple[int, ...]
 
@@ -528,41 +528,19 @@ def parse_element(text: str) -> Element:
     return out
 
 
-def _needs_parens(text: str) -> bool:
-    """True when the coefficient text is a top-level sum or difference."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0 and text[i - 1] not in "^(*/":
-            return True
-    return False
-
-
 def format_element(e: Element) -> str:
     """Canonical text form; parse_element round-trips it."""
     if e.is_zero:
         return "0"
-    parts = []
+    bodies = []
     for mono, coeff in e.items():
-        text = format_coeff(coeff)
-        mono_text = format_monomial(mono)
+        text, mono_text = format_coeff(coeff), format_monomial(mono)
         if not mono:
-            body = text
-        elif text == "1":
-            body = mono_text
-        elif text == "-1":
-            body = "-" + mono_text
-        elif _needs_parens(text):
-            body = f"({text})*{mono_text}"
+            bodies.append(text)
+        elif text in ("1", "-1"):
+            bodies.append(text[:-1] + mono_text)  # the sign alone
+        elif prints_as_sum(coeff):
+            bodies.append(f"({text})*{mono_text}")
         else:
-            body = f"{text}*{mono_text}"
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(" - " + body[1:])
-        else:
-            parts.append(" + " + body)
-    return "".join(parts)
+            bodies.append(f"{text}*{mono_text}")
+    return join_signed(bodies)

@@ -689,6 +689,14 @@ def _format_qrat_term(r: QRat, gamma_halfexp: int) -> str:
     return _format_factored(r.scale, r.shift, num, den, gamma_halfexp)
 
 
+def join_signed(texts: list[str]) -> str:
+    """The texts as one sum: ' - ' before a negative text, ' + ' before
+    any other."""
+    return texts[0] + "".join(
+        " - " + text[1:] if text.startswith("-") else " + " + text for text in texts[1:]
+    )
+
+
 def format_coeff(c: Coeff) -> str:
     """Canonical text: gamma terms in increasing gamma exponent, polynomials
     in ascending powers."""
@@ -698,7 +706,12 @@ def format_coeff(c: Coeff) -> str:
         texts = [_format_laurent_term(pairs, c._d, g) for g, pairs in _by_gamma(c._t).items()]
     else:
         texts = [_format_qrat_term(r, g) for g, r in c.items()]
-    parts = [texts[0]]
-    for text in texts[1:]:
-        parts.append(" - " + text[1:] if text.startswith("-") else " + " + text)
-    return "".join(parts)
+    return join_signed(texts)
+
+
+def prints_as_sum(c: Coeff) -> bool:
+    """True when format_coeff(c) is a sum at top level: c has two or more
+    gamma terms, or one gamma-free Laurent term of two or more monomials.
+    Any other single term prints as one signed product."""
+    gammas = {g for g, _ in c._t}
+    return len(gammas) > 1 or gammas == {0} and c._D is _ONE and len(c._t) > 1

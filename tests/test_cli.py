@@ -297,6 +297,16 @@ def test_a_closed_stdout_keeps_the_exit_code():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+# the suite that owns each corrupted fixture, as the README documents it,
+# and every (suite, fixture) pair in which the suite does not own the fixture
+OWNERS = {"lattice": "crystal", "map": "module", "gram": "form"}
+FOREIGN = [
+    (suite, fixture)
+    for suite in ("relations", "form", "crystal", "confluence", "module")
+    for fixture, owner in OWNERS.items() if suite != owner
+]
+
+
 class TestVerify:
     def test_confluence_passes(self):
         code, out, _ = run("verify", "confluence", "--seed", "5")
@@ -409,15 +419,49 @@ class TestVerify:
         assert status["intertwining-maps"] == "fail"
         assert status["swap-control-detected"] == "pass"
 
-    @pytest.mark.parametrize("suite, fixture", [
-        (suite, fixture)
-        for suite in ("relations", "form", "crystal", "confluence", "module")
-        for fixture, owner in cli.CORRUPT_OWNER.items() if suite != owner
-    ])
+    @pytest.mark.parametrize("suite, fixture", FOREIGN)
     def test_corrupt_fixture_of_another_suite_rejected(self, suite, fixture):
         code, out, err = run("verify", suite, "--corrupt", fixture)
         assert code == EXIT_PARSE and out == ""
-        assert f"--corrupt {fixture} is a fixture of the {cli.CORRUPT_OWNER[fixture]} suite" in err
+        assert f"--corrupt {fixture} is a fixture of the {OWNERS[fixture]} suite" in err
+
+    @pytest.mark.parametrize("suite, fixture", FOREIGN)
+    def test_library_rejects_a_foreign_fixture_as_the_cli_does(self, suite, fixture):
+        # one rule for both callers: the library raises the message the
+        # command line prints, before any suite runs
+        with pytest.raises(ValueError) as raised:
+            run_suite(suite, corrupt=fixture)
+        code, _, err = run("verify", suite, "--corrupt", fixture)
+        assert code == EXIT_PARSE and err.endswith(f"error: {raised.value}")
+        assert str(raised.value) == (
+            f"--corrupt {fixture} is a fixture of the {OWNERS[fixture]} suite, not of {suite}"
+        )
+
+    @pytest.mark.parametrize("suite", [*OWNERS.values(), "all"])
+    def test_library_rejects_an_unknown_fixture(self, suite):
+        with pytest.raises(ValueError, match="unknown fixture 'bogus'"):
+            run_suite(suite, corrupt="bogus")
+
+    def test_the_table_orders_the_suites_and_owns_the_fixtures(self):
+        assert list(cli.SUITES) == ["confluence", "relations", "form", "module", "crystal"]
+        assert {fixture: suite for suite, fixture in cli.SUITES.items() if fixture} == OWNERS
+
+    @pytest.mark.parametrize("fixture", sorted(OWNERS))
+    def test_all_records_a_fixture_only_in_its_owners_bounds(self, fixture):
+        code, out, _ = run(
+            "verify", "all", "--corrupt", fixture, "--h", "1", "--max-length", "1",
+            "--window", "-1:1", "--m", "-1:1", "--format", "json",
+        )
+        assert code == EXIT_VERIFY_FAIL
+        reports = json.loads(out)["reports"]
+        assert [r["suite"] for r in reports] == list(cli.SUITES)
+        corrupt = {r["suite"]: r["bounds"]["corrupt"] for r in reports if "corrupt" in r["bounds"]}
+        assert corrupt == {
+            suite: fixture if suite == OWNERS[fixture] else None for suite in OWNERS.values()
+        }
+        status = {r["suite"]: r["status"] for r in reports}
+        assert status == {suite: "fail" if suite == OWNERS[fixture] else "pass"
+                          for suite in cli.SUITES}
 
     def test_inverted_m_range_rejected(self):
         code, out, err = run("verify", "relations", "--m", "2:-2")

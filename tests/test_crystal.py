@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from imcrystal import cli, crystal
+from imcrystal.check import Check
 from imcrystal.qcoeff import Coeff
 from imcrystal.qalgebra import Element
 from imcrystal.verma import HighestWeight, VermaVector
@@ -239,8 +240,8 @@ class TestImageTable:
             {"weights": (1, 3, 5)},
             {"weights": (1, 1)},
             {"weights": (1, 3), "d": 1},
-            {"weights": (1, 3), "corrupt": "lattice"},
-            {"weights": (1, 1), "corrupt": "lattice"},
+            {"weights": (1, 3), "corrupt": True},
+            {"weights": (1, 1), "corrupt": True},
         ],
         ids=["h13", "h135", "h11", "d1", "corrupt", "h11-corrupt"],
     )
@@ -253,7 +254,7 @@ class TestImageTable:
 
     @pytest.mark.parametrize(
         "bounds, total, most",
-        [({}, 69, 1), ({"weights": (1, 3, 5)}, 69, 1), ({"corrupt": "lattice"}, 136, 2)],
+        [({}, 69, 1), ({"weights": (1, 3, 5)}, 69, 1), ({"corrupt": True}, 136, 2)],
         ids=["h13", "h135", "corrupt"],
     )
     def test_each_image_is_applied_once_per_suite_run(
@@ -316,6 +317,29 @@ class TestSplit:
         assert witnesses and blocks == []
         assert any("mixes components" in w for w in witnesses)
 
+    @pytest.mark.parametrize("break_split, witnesses", [
+        (lambda lat, parts: parts[0].append(parts[1][0]),
+         ["part 1 generator [1] 1 @ (h=3,d=0) lies in component 1, outside its summand"]),
+        (lambda lat, parts: parts[0].append(
+            VermaVector(lat.weights, {0: Element.monomial((1,)) + Element.monomial((0,))})),
+         ["part 1 generator [0] x[1] + x[0] @ (h=1,d=0) is not a scaled monomial vector; "
+          "probe cannot certify the split"]),
+        (lambda lat, parts: parts[0].__setitem__(0, parts[0][0] * Coeff.q_power(4)),
+         ["part 1 generator [0] q^2 @ (h=1,d=0): lattice coordinate is not a unit at 0, "
+          "so the parts do not sum to L",
+          "lattice generator [0]1 not covered by the split"]),
+        (lambda lat, parts: parts[0].append(parts[0][0]),
+         ["generator for [0]1 covered twice"]),
+        (lambda lat, parts: parts[0].pop(0),
+         ["lattice generator [0]1 not covered by the split"]),
+    ], ids=["outside-its-summand", "not-a-monomial", "not-a-unit", "covered-twice",
+            "not-covered"])
+    def test_each_broken_hypothesis_has_its_witness(self, break_split, witnesses):
+        lat = LatticeDesc((HighestWeight(1), HighestWeight(3)), 1, (-1, 1))
+        parts = canonical_split(lat)
+        break_split(lat, parts)
+        assert split_converse_check(lat, parts, (-1, 1)) == (witnesses, [])
+
     def test_degenerate_single_component(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (-1, 1))
         witnesses, blocks = split_converse_check(lat, canonical_split(lat), (-1, 1))
@@ -365,6 +389,37 @@ class TestSplit:
         assert witnesses == []
         assert [passed(block) for block in blocks] == [False, True, True]
         assert by_name(blocks[0])["lattice-stability"].witnesses == stability.witnesses
+
+    def test_suite_checks_the_sum_of_every_weight(self):
+        # at --h 1,3,5 the sum, its coherence and its split take all three
+        # components; two weights gave axioms-direct-sum 3439 checks
+        (report,) = cli.run_suite("crystal", weights=(1, 3, 5))
+        assert [(r.name, r.passed, r.checked) for r in report.results] == [
+            ("axioms-h1", True, 1720),
+            ("axioms-h3", True, 1720),
+            ("axioms-h5", True, 1720),
+            ("axioms-direct-sum", True, 5158),
+            ("direct-sum-coherence", True, 1),
+            ("split-canonical", True, 1),
+            ("split-diagonal-control", True, 1),
+            ("signed-image-example", True, 1),
+        ]
+
+    def test_coherence_reads_every_component(self, monkeypatch):
+        # a failing run on the third weight alone, beside a passing sum:
+        # the conjunction of all three components differs from the sum
+        axioms = cli.verify_crystal_axioms
+
+        def failing_on_h5(lat, m_range):
+            if lat.weights == (HighestWeight(5),):
+                return [Check("forced").run([lat], lambda _: "forced failure")]
+            return axioms(lat, m_range)
+
+        monkeypatch.setattr(cli, "verify_crystal_axioms", failing_on_h5)
+        (report,) = cli.run_suite("crystal", weights=(1, 3, 5), **SMALL)
+        status = {r.name: r.passed for r in report.results}
+        assert not status["axioms-h5"] and status["axioms-direct-sum"]
+        assert not status["direct-sum-coherence"]
 
     def test_direct_sum_coherence(self):
         window, mrange = (-1, 1), (-2, 2)

@@ -132,6 +132,18 @@ class TestRecursionExamples:
                 omega_apply("bogus", 0, e)
         assert kashiwara._OMEGA_CACHE == before
 
+    @pytest.mark.parametrize("operator", [omega_apply, omega_at_one])
+    @pytest.mark.parametrize("e", [Element.zero(), x(1)], ids=["zero", "x1"])
+    def test_unknown_kind_raises_on_every_element(self, operator, e):
+        # the kind is read before any term, so a zero element has no way round it
+        with pytest.raises(ValueError, match="unknown operator kind 'bogus'"):
+            operator("bogus", 3, e)
+
+    @pytest.mark.parametrize("mono", [(), (1, 0)])
+    def test_unknown_kind_raises_on_every_monomial(self, mono):
+        with pytest.raises(ValueError, match="unknown operator kind 'bogus'"):
+            omega_mono("bogus", 3, mono)
+
 
 class TestClosedFormula:
     def test_examples(self):

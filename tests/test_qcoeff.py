@@ -22,6 +22,7 @@ from imcrystal.qcoeff import (
     format_coeff,
     g_coeff,
     g_coeff_bar,
+    prints_as_sum,
     quantum_int,
     residue_mod_q2,
 )
@@ -498,6 +499,44 @@ def test_format_is_stable(c):
     # identical values print identically (canonical form is unique)
     rebuilt = Coeff.zero() + c
     assert format_coeff(rebuilt) == format_coeff(c)
+
+
+def needs_parens(text):
+    """True when a printed coefficient is a sum or difference at top level:
+    the text scan that prints_as_sum replaces, kept as its oracle."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and i > 0 and text[i - 1] not in "^(*/":
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs())
+def test_prints_as_sum_matches_the_text_scan(c):
+    # the drawn values carry gamma terms, half exponents, rational values
+    # and denominators that are not monomials
+    assert prints_as_sum(c) == needs_parens(format_coeff(c))
+
+
+@pytest.mark.parametrize("c, expected", [
+    (Coeff.zero(), False),
+    (Coeff.rational(Fraction(-3, 2)), False),
+    (Coeff.q_power(-3), False),
+    (Coeff.one() + Coeff.q_power(1), True),
+    (Coeff.quantum(2) * Coeff.gamma_power(2), False),
+    (Coeff.one() + Coeff.gamma_power(-1), True),
+    (Coeff.one() / (Coeff.one() - Coeff.q_power(2)), False),
+    (Coeff.one() / (Coeff.one() - Coeff.q_power(2)) + Coeff.gamma_power(2), True),
+], ids=["zero", "rational", "half-power", "laurent-sum", "gamma-product", "two-gammas",
+        "fraction", "fraction-plus-gamma"])
+def test_prints_as_sum_examples(c, expected):
+    assert prints_as_sum(c) is expected
+    assert needs_parens(format_coeff(c)) is expected
 
 
 # ---------------------------------------------------------------------------
