@@ -171,8 +171,12 @@ def suite_confluence(
     words = [_random_word(rng, max_length, window) for _ in range(samples)]
 
     def disagree(w: Monomial) -> str | None:
-        if normalize_word(w, "leftmost") != normalize_word(w, "rightmost"):
+        # both strategies and the insertion form every other suite reads
+        form = normalize_word(w, "leftmost")
+        if form != normalize_word(w, "rightmost"):
             return f"strategies disagree on x{list(w)}"
+        if form != normalize_word(w):
+            return f"insertion form disagrees with rewriting on x{list(w)}"
 
     def no_decrease(step: tuple[Monomial, Monomial]) -> str | None:
         # every rewrite strictly decreases the measure

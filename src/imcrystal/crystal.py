@@ -63,9 +63,6 @@ class CrystalClass(_Value):
         _set(self, "mono", mono)
         _set(self, "component", component)
 
-    def _key(self) -> tuple:
-        return self.sign, self.mono, self.component
-
     def describe(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}[{self.component}]{format_monomial(self.mono)}"
 
@@ -125,14 +122,15 @@ def _reduce(
     v: VermaVector, scales: dict[ClassKey, Coeff]
 ) -> tuple[list[ClassKey], dict[ClassKey, Fraction]]:
     """One walk over the lattice coordinates of v (coefficients divided by
-    the generator scales, 1 where none is given): the coordinates with a
-    pole at 0, and the image of the others in L/qL as a rational
-    combination of monomial classes."""
+    the generator scales, left as they are where none is given): the
+    coordinates with a pole at 0, and the image of the others in L/qL as a
+    rational combination of monomial classes."""
     poles: list[ClassKey] = []
     out: dict[ClassKey, Fraction] = {}
     for i, e in v.components.items():
         for mono, c in e.items():
-            c = c / scales.get((i, mono), Coeff.one())
+            if (i, mono) in scales:
+                c = c / scales[i, mono]
             if not c.is_regular_at_zero():
                 poles.append((i, mono))
             elif r := c.constant_at_zero():
@@ -317,6 +315,30 @@ def diagonal_control_split(lat: LatticeDesc) -> Split:
     return diag, anti
 
 
+def _split_generator(lat: LatticeDesc, j: int, gen: VermaVector) -> ClassKey | str | None:
+    """The class key that a generator of part j stands for, None for the
+    zero vector, or, when it breaks a hypothesis of the split, the rest of
+    its witness after the generator's text: it must lie in summand j alone
+    and be a scaled monomial vector whose lattice coordinate is a unit at 0."""
+    support = sorted(gen.components)
+    if len(support) > 1:
+        return " mixes components; it does not split inside L"
+    if not support:
+        return None
+    comp = support[0]
+    if comp != j:
+        return f" lies in component {comp}, outside its summand"
+    e = gen.element(comp)
+    if len(e) != 1:
+        return " is not a scaled monomial vector; probe cannot certify the split"
+    (mono, c), = e.items()
+    if (comp, mono) in lat.scales:
+        c = c / lat.scales[comp, mono]
+    if c.valuation() != 0:
+        return ": lattice coordinate is not a unit at 0, so the parts do not sum to L"
+    return comp, mono
+
+
 def split_converse_check(
     lat: LatticeDesc, split: Split, m_range: tuple[int, int]
 ) -> tuple[list[str], list[list[Check]]]:
@@ -340,41 +362,13 @@ def split_converse_check(
     cover: dict[ClassKey, int] = {}
     for j, gens in enumerate(split):
         for gen in gens:
-            support = sorted(gen.components)
-            if len(support) > 1:
-                witnesses.append(
-                    f"part {j + 1} generator {format_vector(gen)} mixes components; "
-                    "it does not split inside L"
-                )
-                continue
-            if not support:
-                continue
-            comp = support[0]
-            if comp != j:
-                witnesses.append(
-                    f"part {j + 1} generator {format_vector(gen)} lies in component "
-                    f"{comp}, outside its summand"
-                )
-                continue
-            e = gen.element(comp)
-            if len(e) != 1:
-                witnesses.append(
-                    f"part {j + 1} generator {format_vector(gen)} is not a scaled "
-                    "monomial vector; probe cannot certify the split"
-                )
-                continue
-            (mono, c), = e.items()
-            coord = c / lat.scale(comp, mono)
-            if coord.valuation() != 0:
-                witnesses.append(
-                    f"part {j + 1} generator {format_vector(gen)}: lattice "
-                    "coordinate is not a unit at 0, so the parts do not sum to L"
-                )
-                continue
-            key = (comp, mono)
-            if key in cover:
-                witnesses.append(f"generator for {_key_text(key)} covered twice")
-            cover[key] = j
+            key = _split_generator(lat, j, gen)
+            if isinstance(key, str):
+                witnesses.append(f"part {j + 1} generator {format_vector(gen)}{key}")
+            elif key is not None:
+                if key in cover:
+                    witnesses.append(f"generator for {_key_text(key)} covered twice")
+                cover[key] = j
     for key in lat.class_keys():
         if key not in cover:
             witnesses.append(f"lattice generator {_key_text(key)} not covered by the split")

@@ -181,34 +181,28 @@ def _gam(power: int) -> Coeff:
 def _residual(relation: str, comps: tuple[int, ...], e: Element) -> Element:
     """LHS - RHS of the named operator identity applied to e, formal gamma.
 
-    The four-term identities between an annihilation component and a left
-    multiplication carry the delta coefficients (q^2 - 1) gamma^(m+1) and
-    (q^2 - 1) gamma^(-m); these are the coefficient-extracted forms of the
-    generating-function relations (the commonly printed gamma-free deltas
-    are their gamma = 1 specializations).
+    The two four-term identities between an annihilation component omega
+    and a left multiplication are one identity in the family's sign s (+1
+    for psi, -1 for phi).  With
+
+        t1 = omega(m) x(n+1) e q^2,  t2 = omega(m+1) x(n) e,
+        t3 = x(n+1) omega(m) e,      t4 = x(n) omega(m+1) e q^2,
+
+    the psi residual is (t1 - t3) gamma - (t2 - t4) and the phi residual is
+    (t1 - t3) - (t2 - t4) gamma, less the delta term (q^2 - 1)
+    gamma^(s m + (1 + s)/2) e when m = -n - 1.  These are the
+    coefficient-extracted forms of the generating-function relations (the
+    commonly printed gamma-free deltas are their gamma = 1 specializations).
     """
     q2 = Coeff.q_power(4)
-    if relation == "omegapsi-x":
-        m, n = comps
-        out = (
-            omega_apply(PSI, m, _x(n + 1, e)) * (q2 * _gam(1))
-            - omega_apply(PSI, m + 1, _x(n, e))
-            - _x(n + 1, omega_apply(PSI, m, e)) * _gam(1)
-            + _x(n, omega_apply(PSI, m + 1, e)) * q2
-        )
+    if relation in ("omegapsi-x", "omegaphi-x"):
+        kind = PSI if relation == "omegapsi-x" else PHI
+        s, (m, n) = _SIGN[kind], comps
+        left = omega_apply(kind, m, _x(n + 1, e)) * q2 - _x(n + 1, omega_apply(kind, m, e))
+        right = omega_apply(kind, m + 1, _x(n, e)) - _x(n, omega_apply(kind, m + 1, e)) * q2
+        out = left * _gam((1 + s) // 2) - right * _gam((1 - s) // 2)
         if m == -n - 1:
-            out = out - e * ((q2 - Coeff.one()) * _gam(m + 1))
-        return out
-    if relation == "omegaphi-x":
-        m, n = comps
-        out = (
-            omega_apply(PHI, m, _x(n + 1, e)) * q2
-            - omega_apply(PHI, m + 1, _x(n, e)) * _gam(1)
-            - _x(n + 1, omega_apply(PHI, m, e))
-            + _x(n, omega_apply(PHI, m + 1, e)) * (q2 * _gam(1))
-        )
-        if m == -n - 1:
-            out = out - e * ((q2 - Coeff.one()) * _gam(-m))
+            out = out - e * ((q2 - Coeff.one()) * _gam(s * m + (1 + s) // 2))
         return out
     if relation in ("psi-psi", "phi-phi"):
         kind = PSI if relation == "psi-psi" else PHI

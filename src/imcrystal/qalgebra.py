@@ -62,9 +62,6 @@ class Weight(_Value):
         _set(self, "length", length)
         _set(self, "degree", degree)
 
-    def _key(self) -> tuple:
-        return self.length, self.degree
-
     def __lt__(self, other: Weight) -> bool:
         if other.__class__ is not Weight:
             return NotImplemented
@@ -285,16 +282,24 @@ _Q2 = Coeff.q_power(4)
 _CACHE: dict[tuple[Monomial, str | None], Element] = {}
 
 
+# each rewriting strategy as the index of the ascent it picks
+_STRATEGIES = {"leftmost": 0, "rightmost": -1}
+
+
+def _pick(strategy: str) -> int:
+    """The index into the ascent positions that the strategy rewrites;
+    every caller reads it before any word, so an unknown name raises on
+    every word."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _STRATEGIES[strategy]
+
+
 def find_ascent(word: Monomial, strategy: str = "leftmost") -> int | None:
     """Position of the adjacent ascent the strategy would rewrite next."""
+    pick = _pick(strategy)
     positions = [i for i in range(len(word) - 1) if word[i] < word[i + 1]]
-    if not positions:
-        return None
-    if strategy == "leftmost":
-        return positions[0]
-    if strategy == "rightmost":
-        return positions[-1]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return positions[pick] if positions else None
 
 
 def rewrite_once(word: Monomial, position: int) -> list[tuple[Coeff, Monomial]]:
@@ -321,6 +326,8 @@ def termination_measure(word: Monomial) -> tuple[int, int]:
 def normalize_word(word: Sequence[int], strategy: str | None = None) -> Element:
     """Normal form of a word: by insertion into its normal tail, or by
     rewriting with the given strategy, "leftmost" or "rightmost"."""
+    if strategy is not None:
+        _pick(strategy)
     return _normal(tuple(word), strategy)
 
 

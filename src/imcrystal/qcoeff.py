@@ -16,14 +16,16 @@ and D is a primitive integer polynomial with nonzero constant term and
 positive leading coefficient that no polynomial divides together with
 every gamma term of N.  The form is unique as built, so equality compares
 N, d and D.  Every value the verification suites produce is a Laurent
-polynomial, with the one shared D = ``_ONE``: there sums, products and
-quotients by monomials divide out only an integer factor, and only when d
-is not 1, and no step builds a dense polynomial or a ``Fraction``.  Only
-the parser's division by a non-monomial scalar, or a ``QRat`` with a
-denominator, makes a D of positive degree; a polynomial gcd then cancels
-the common factor.  A gamma-homogeneous divisor is inverted in closed
-form.  ``Coeff.items()`` reads the value as sorted ``(gamma_halfexp, QRat)``
-pairs.
+polynomial, with the one shared D = ``_ONE``: there sums and products
+divide out only an integer factor, and only when d is not 1, and no step
+builds a dense polynomial or a ``Fraction``.  Only the parser's division by
+a non-monomial scalar, or a ``QRat`` with a denominator, makes a D of
+positive degree; a polynomial gcd then cancels the common factor.  There
+is one division rule: the gamma-homogeneous divisor is read as one
+``QRat`` term, inverted in closed form by swapping its num and den, and
+multiplied in, so a quotient, by a monomial too, builds that ``QRat`` and
+its ``Fraction`` scale.  ``Coeff.items()`` reads the value as sorted
+``(gamma_halfexp, QRat)`` pairs.
 
 ``QRat`` is the public view of one gamma-free ``Coeff``, a rational
 function of s, stored q-adically as
@@ -117,13 +119,16 @@ _set = object.__setattr__
 
 
 class _Value:
-    """An immutable value.  A subclass lists its fields in __slots__ and
-    returns them, in that order, from _key: it is equal to an instance of
-    its own class with the same key (never to a tuple), hashed by the key,
-    printed as Name(field=value, ...), and refuses any assignment or
-    deletion."""
+    """An immutable value.  A subclass lists its fields in __slots__, and
+    its key is the tuple of their values in that order: it is equal to an
+    instance of its own class with the same key (never to a tuple), hashed
+    by the key, printed as Name(field=value, ...), and refuses any
+    assignment or deletion."""
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
 
     def __setattr__(self, *args) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -158,9 +163,6 @@ class QRat(_Value):
         _set(self, "shift", shift)
         _set(self, "num", num)
         _set(self, "den", den)
-
-    def _key(self) -> tuple:
-        return self.scale, self.shift, self.num, self.den
 
     # -- constructors -------------------------------------------------------
 
@@ -249,15 +251,14 @@ def _qrat(c: Coeff) -> QRat:
     return dict(c.items()).get(0, _QRAT_ZERO)
 
 
-def _qrat_term(pairs: list[tuple[int, int]], d: int, D: tuple[int, ...], shared: bool) -> QRat:
+def _qrat_term(pairs: list[tuple[int, int]], d: int, D: tuple[int, ...]) -> QRat:
     """One gamma term of N / (d * D), given as ascending (e, v) pairs: its
     content, with the sign of its top value, over d is the scale and its
-    lowest exponent the shift.  D is prime to all gamma terms together, so
-    to the only one as it is; when N has others too, the factor D shares
-    with this term is cancelled."""
+    lowest exponent the shift.  D is prime to all gamma terms together, not
+    to each, so the factor D shares with this term is cancelled."""
     c = _content(pairs)
     num = tuple(v // c for v in _poly(pairs))
-    if shared and D is not _ONE:
+    if D is not _ONE:
         g = _pgcd(num, D)
         # exact, primitive and with positive leading terms, by Gauss's lemma
         num, D = _pquo(num, g), _pquo(D, g)
@@ -376,9 +377,8 @@ class Coeff:
         return hash((frozenset(self._t.items()), self._d, self._D))
 
     def items(self) -> Iterator[tuple[int, QRat]]:
-        terms = _by_gamma(self._t)
-        return iter([(g, _qrat_term(pairs, self._d, self._D, len(terms) > 1))
-                     for g, pairs in terms.items()])
+        return iter([(g, _qrat_term(pairs, self._d, self._D))
+                     for g, pairs in _by_gamma(self._t).items()])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -457,12 +457,6 @@ class Coeff:
             raise CoefficientError("division by zero")
         if len({g for g, _ in other._t}) != 1:
             raise CoefficientError("division only by gamma-homogeneous values")
-        if len(other._t) == 1 and other._D is _ONE:
-            # by a monomial v/d q^e gamma^g: multiply by d/v, shift the exponents
-            ((g0, e0), v0), = other._t.items()
-            m = other._d if v0 > 0 else -other._d
-            t = {(g - g0, e - e0): v * m for (g, e), v in self._t.items()}
-            return _reduced(t, self._d * abs(v0), self._D)
         # by r gamma^g: multiply by 1/r gamma^-g, where 1/r swaps num and den
         # and inverts the scale, so it is canonical as built
         (g, r), = other.items()

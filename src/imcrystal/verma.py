@@ -56,9 +56,6 @@ class HighestWeight(_Value):
         _set(self, "h", h)
         _set(self, "d", d)
 
-    def _key(self) -> tuple:
-        return self.h, self.d
-
 
 class VermaVector:
     """Finite sum over components i of (element_i) . v_i in the direct sum

@@ -313,6 +313,26 @@ class TestVerify:
         assert code == EXIT_PASS
         assert "confluence-probe: PASS" in out
 
+    def test_confluence_checks_the_insertion_form(self, monkeypatch):
+        # a wrong default form on the first word of length 3 or more that
+        # the probe reads; both strategies still agree with each other
+        right, bad = cli.normalize_word, []
+
+        def wrong(word, strategy=None):
+            form = right(word, strategy)
+            if strategy is None and len(word) >= 3 and bad in ([], [word]):
+                bad[:] = [word]
+                return form * 2
+            return form
+
+        monkeypatch.setattr(cli, "normalize_word", wrong)
+        code, out, err = run("verify", "confluence", "--format", "json")
+        assert code == EXIT_VERIFY_FAIL and err == ""
+        result = {r["name"]: r for r in json.loads(out)["reports"][0]["results"]}
+        assert result["confluence-probe"]["witnesses"] == [
+            f"insertion form disagrees with rewriting on x{list(bad[0])}"
+        ]
+
     def test_relations_window_flag(self):
         code, out, _ = run("verify", "relations", "--window", "-1:1", "--m", "-1:1")
         assert code == EXIT_PASS

@@ -63,6 +63,24 @@ class TestNormalize:
                 assert lhs == rhs, (k, l)
 
 
+class TestStrategy:
+    # the strategy name is read before the word: an unknown one raises on a
+    # normal word, on the empty word and on a word with an ascent alike, and
+    # stores nothing in the rewriting memo
+    @pytest.mark.parametrize("word", [(1, 0), (2, 1, 0), (), (0, 1), (0, 2, 1, 3)])
+    def test_unknown_strategy_raises_on_every_word(self, word):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            normalize_word(word, "bogus")
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            find_ascent(word, "bogus")
+        assert [key for key in qalgebra._CACHE if key[1] == "bogus"] == []
+
+    def test_known_strategies_pick_their_ascent(self):
+        assert find_ascent((0, 2, 1, 3)) == find_ascent((0, 2, 1, 3), "leftmost") == 0
+        assert find_ascent((0, 2, 1, 3), "rightmost") == 2
+        assert find_ascent((2, 1, 0), "rightmost") is None
+
+
 class TestInsertion:
     # the default order inserts each letter into the normal form of its
     # tail; rewriting by either strategy stays the definition

@@ -493,6 +493,32 @@ def test_gamma_homogeneous_division_round_trip(a, r, g):
     assert (a * b) / b == a
 
 
+def monomial_quotient(a, b):
+    """The fields (terms, d, D) of a / b for a monomial b = v/d q^(e/2)
+    gamma^(g/2) by its closed formula, apart from the reciprocal rule of
+    Coeff: multiply the values by d/v, shift every exponent by (-g, -e),
+    and divide out the common factor of the new integer denominator and
+    the values."""
+    ((g0, e0), v0), = b._t.items()
+    m = b._d if v0 > 0 else -b._d
+    t = {(g - g0, e - e0): v * m for (g, e), v in a._t.items()}
+    d = a._d * abs(v0)
+    c = math.gcd(d, *t.values())
+    return {k: v // c for k, v in t.items()}, d // c, a._D
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs(), small_rationals, st.integers(min_value=-7, max_value=7),
+       st.integers(min_value=-3, max_value=3))
+def test_monomial_division_matches_the_closed_formula(a, x, e, g):
+    # negative and fractional values, odd (half) q exponents and gamma
+    b = Coeff.rational(x) * Coeff.q_power(e) * Coeff.gamma_power(g)
+    assert len(b._t) == 1 and b._D is _ONE
+    quotient = a / b
+    assert (quotient._t, quotient._d, quotient._D) == monomial_quotient(a, b)
+    assert quotient * b == a
+
+
 @settings(max_examples=40, deadline=None)
 @given(coeffs())
 def test_format_is_stable(c):
