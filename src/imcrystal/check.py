@@ -7,7 +7,8 @@ returns the failure text of one case, or None when the case passes, and
 `Check.run` counts the cases and collects the texts.  `Check.fold` makes
 one result of several.  The relation checker, the orthonormality and
 intertwining checks, the crystal axioms and the command-line suites all
-report in this one form.
+report in this one form.  `closed_range` reads the integer range of a
+probe and rejects an inverted one, so no verifier passes on zero cases.
 """
 
 from __future__ import annotations
@@ -61,3 +62,12 @@ class Check:
             "checked": self.checked,
             "witnesses": self.witnesses[:20],
         }
+
+
+def closed_range(bounds: tuple[int, int]) -> range:
+    """The integers a..b of bounds (a, b), both ends included; ValueError
+    when a > b, as the range is empty."""
+    lo, hi = bounds
+    if lo > hi:
+        raise ValueError(f"empty range {lo}:{hi}: need a <= b")
+    return range(lo, hi + 1)

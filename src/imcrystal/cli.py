@@ -17,7 +17,7 @@ import re
 import sys
 from typing import Callable, Iterator
 
-from .check import Check
+from .check import Check, closed_range
 from .qcoeff import Coeff, CoefficientError, format_coeff, residue_mod_q2
 from .qalgebra import (
     Element,
@@ -68,6 +68,8 @@ from .crystal import (
 )
 
 DEFAULT_SEED = 1729
+# the random draws of suite_confluence and suite_form
+SAMPLES = 200
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -158,7 +160,6 @@ def _rewrite_steps(word: Monomial) -> Iterator[tuple[Monomial, Monomial]]:
 
 def suite_confluence(
     seed: int = DEFAULT_SEED,
-    samples: int = 200,
     max_length: int = 5,
     window: tuple[int, int] = (-3, 3),
 ) -> SuiteReport:
@@ -168,7 +169,7 @@ def suite_confluence(
         [normalize_word((0, 1))],
         lambda got: None if got == expected else "x[0]x[1] did not rewrite to q^2*x[1]x[0]",
     )
-    words = [_random_word(rng, max_length, window) for _ in range(samples)]
+    words = [_random_word(rng, max_length, window) for _ in range(SAMPLES)]
 
     def disagree(w: Monomial) -> str | None:
         # both strategies and the insertion form every other suite reads
@@ -190,7 +191,7 @@ def suite_confluence(
     )
     return SuiteReport(
         "confluence",
-        {"samples": samples, "max_length": max_length, "window": list(window)},
+        {"samples": SAMPLES, "max_length": max_length, "window": list(window)},
         seed,
         [serre, probe, measure],
     )
@@ -252,14 +253,13 @@ def suite_relations(
 
 def suite_form(
     seed: int = DEFAULT_SEED,
-    samples: int = 200,
     max_length: int = 3,
     window: tuple[int, int] = (-2, 2),
     corrupt: bool = False,
 ) -> SuiteReport:
     rng = random.Random(seed)
     draws = []  # (a, b, m, c): b of the weight of a, c of a random weight
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         a = _random_homogeneous(rng, window, max_length)
         b = _random_homogeneous(rng, window, max_length, a.weight())
         m = rng.randint(window[0], window[1])
@@ -335,7 +335,7 @@ def suite_form(
     ]
     return SuiteReport(
         "form",
-        {"samples": samples, "max_length": max_length, "window": list(window),
+        {"samples": SAMPLES, "max_length": max_length, "window": list(window),
          "corrupt": SUITES["form"] if corrupt else None},
         seed,
         results,
@@ -617,8 +617,8 @@ def run_suite(
     corrupt: str | None = None,
 ) -> list[SuiteReport]:
     for bound in (window, m_range):
-        if bound is not None and bound[0] > bound[1]:
-            raise ValueError(f"empty range {bound[0]}:{bound[1]}: need a <= b")
+        if bound is not None:
+            closed_range(bound)
     if why := fixture_error(name, corrupt):
         raise ValueError(why)
     if name == "all":

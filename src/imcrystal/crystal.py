@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .check import Check
+from .check import Check, closed_range
 from .qcoeff import Coeff, _Value, _set
 from .qalgebra import Element, Monomial, enumerate_all, enumerate_basis, format_monomial, memo
 from .verma import (
@@ -92,10 +92,13 @@ class LatticeDesc:
     def classes(self) -> list[CrystalClass]:
         return [CrystalClass(1, mono, i) for i, mono in self.class_keys()]
 
-    def scale_key(self, component: int) -> frozenset:
-        """The generator scales of one component in hashable form, the part
-        of an image-table key that the lattice decides."""
-        return frozenset((mono, c) for (i, mono), c in self.scales.items() if i == component)
+    def block(self, j: int) -> LatticeDesc:
+        """The one-component lattice of component j: its weight, the same
+        probe, and the scales of component j moved to component 0.  It is
+        the block of j in a split, and its scales are the part of an
+        image-table key that the lattice decides."""
+        return LatticeDesc((self.weights[j],), self.max_length, self.window,
+                           {(0, mono): c for (i, mono), c in self.scales.items() if i == j})
 
     def lift(self, b: CrystalClass) -> VermaVector:
         """Lattice generator representing the class: sign * scale * mono . v."""
@@ -150,7 +153,8 @@ def reduce_mod_q(v: VermaVector, lat: LatticeDesc) -> dict[ClassKey, Fraction]:
 # a class in L/qL, None for zero, or the text of why the image is not a class
 TildeImage = CrystalClass | None | str
 ImageReader = Callable[[str, int, CrystalClass], tuple[list[str], TildeImage]]
-# (operator, index, sign, monomial, scale key of the class's component) ->
+# (operator, index, sign, monomial, scales of the class's component as
+# items of its block) ->
 # (the monomials of the coordinates with a pole at 0; the image in L/qL
 # without its component: None for zero, (sign, monomial), or why it is not
 # a class)
@@ -180,7 +184,7 @@ def _tilde_image(op: str, m: int, sign: int, mono: Monomial, scales: frozenset) 
     `_IMAGES`: the list of lattice monomials with a pole at 0, and, when
     there is none, the image in L/qL as `_signed_monomial` reads it.  The
     operator acts on a one-component lift whose weight it never reads."""
-    table = {(0, w): c for w, c in scales}
+    table = dict(scales)
     scale = table.get((0, mono), Coeff.one())
     lift = VermaVector(_LIFT_AMBIENT, {0: Element({mono: scale * sign})})
     apply = act_xminus if op == "xminus" else tilde_omega
@@ -194,7 +198,7 @@ def _image_reader(lat: LatticeDesc) -> ImageReader:
     at 0) and the class of the image in L/qL (a signed class, None for
     zero, or the text of the violation found), named with b's own
     component."""
-    scale_keys = [lat.scale_key(i) for i in range(len(lat.weights))]
+    scale_keys = [frozenset(lat.block(i).scales.items()) for i in range(len(lat.weights))]
 
     def image(op: str, m: int, b: CrystalClass) -> tuple[list[str], TildeImage]:
         poles, img = _tilde_image(op, m, b.sign, b.mono, scale_keys[b.component])
@@ -228,9 +232,8 @@ def verify_crystal_axioms(lat: LatticeDesc, m_range: tuple[int, int]) -> list[Ch
     component) and leaves out the weight, which the tilde operators never
     read, so the components of a sum with equal scales share their
     images, and so do later runs."""
-    lo, hi = m_range
+    ms = closed_range(m_range)
     classes = lat.classes()
-    ms = range(lo, hi + 1)
     ops = ("xminus", "omega-psi")
     image = _image_reader(lat)
 
@@ -281,7 +284,7 @@ def corrupted_lattice(lat: LatticeDesc) -> LatticeDesc:
     """Control fixture: scale one lattice generator by q^-1."""
     monos = enumerate_basis(min(1, lat.max_length), lat.window)
     scales = dict(lat.scales)
-    scales[(0, monos[0] if monos else ())] = Coeff.q_power(-2)
+    scales[(0, monos[0])] = Coeff.q_power(-2)
     return LatticeDesc(lat.weights, lat.max_length, lat.window, scales)
 
 
@@ -297,8 +300,8 @@ Split = tuple[list[VermaVector], ...]
 def canonical_split(lat: LatticeDesc) -> Split:
     """The component split: part j is spanned by component-j generators."""
     parts: Split = tuple([] for _ in lat.weights)
-    for i, mono in lat.class_keys():
-        parts[i].append(VermaVector(lat.weights, {i: Element({mono: lat.scale(i, mono)})}))
+    for b in lat.classes():
+        parts[b.component].append(lat.lift(b))
     return parts
 
 
@@ -328,15 +331,13 @@ def _split_generator(lat: LatticeDesc, j: int, gen: VermaVector) -> ClassKey | s
     comp = support[0]
     if comp != j:
         return f" lies in component {comp}, outside its summand"
-    e = gen.element(comp)
-    if len(e) != 1:
+    if len(gen.element(comp)) != 1:
         return " is not a scaled monomial vector; probe cannot certify the split"
-    (mono, c), = e.items()
-    if (comp, mono) in lat.scales:
-        c = c / lat.scales[comp, mono]
-    if c.valuation() != 0:
+    poles, reduced = _reduce(gen, lat.scales)
+    if poles or not reduced:
         return ": lattice coordinate is not a unit at 0, so the parts do not sum to L"
-    return comp, mono
+    (key, _), = reduced.items()
+    return key
 
 
 def split_converse_check(
@@ -374,9 +375,4 @@ def split_converse_check(
             witnesses.append(f"lattice generator {_key_text(key)} not covered by the split")
     if witnesses:
         return witnesses, []
-    blocks = [
-        LatticeDesc((w,), lat.max_length, lat.window,
-                    {(0, mono): c for (i, mono), c in lat.scales.items() if i == j})
-        for j, w in enumerate(lat.weights)
-    ]
-    return [], [verify_crystal_axioms(block, m_range) for block in blocks]
+    return [], [verify_crystal_axioms(lat.block(j), m_range) for j in range(len(lat.weights))]

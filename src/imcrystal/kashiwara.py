@@ -37,7 +37,10 @@ directly.
 A closed summation formula for the psi family over deletion slots and
 compositions is kept as an independent cross-check oracle, and a checker
 verifies the defining operator relations of the algebra generated by the
-psi operators and left multiplication, with gamma kept formal.
+psi operators and left multiplication, with gamma kept formal.  Each
+four-term relation is a sum of two q-commutators
+C(f, g) = q^2 f g - g f, and the phi-psi relation is summed over the
+delta support.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from itertools import combinations
 from math import prod
 from typing import Generator, Iterator
 
-from .check import Check
+from .check import Check, closed_range
 from .qcoeff import Coeff, _kernel
 from .qalgebra import (
     Element,
@@ -76,6 +79,15 @@ def _sign(kind: str) -> int:
     return _SIGN[kind]
 
 
+def _reach(sign: int, p: int, mono: Monomial) -> int:
+    """The delta support: the largest r for which omega(p - sign r), psi
+    for sign 1 and phi for sign -1, can be nonzero on mono, or a negative
+    number when there is none (-1 on the empty monomial).  Every recursion
+    path ends in a delta at some index of mono, so max(mono) bounds the psi
+    side and -min(mono) the phi side."""
+    return sign * p + (max(mono) if sign > 0 else -min(mono)) if mono else -1
+
+
 @memo(_OMEGA_CACHE)
 def _omega_one(kind: str, p: int, mono: Monomial) -> Generator[list, list, Element]:
     """One annihilation-operator component on a monomial, at gamma = 1.
@@ -86,9 +98,7 @@ def _omega_one(kind: str, p: int, mono: Monomial) -> Generator[list, list, Eleme
     if not mono:
         return Element.zero()
     m, rest = mono[0], mono[1:]
-    # the delta support: max(rest) bounds the psi side, -min(rest) the phi side
-    rmax = sign * p + (max(rest) if sign > 0 else -min(rest)) if rest else -1
-    subs = yield [(kind, p - sign * r, rest) for r in range(rmax + 1)]
+    subs = yield [(kind, p - sign * r, rest) for r in range(_reach(sign, p, rest) + 1)]
     pieces = [(normalize_word(rest), None)] if p == -m else []
     for r, sub in enumerate(subs):
         c = _kernel(sign, r)
@@ -174,66 +184,57 @@ def _x(n: int, e: Element) -> Element:
     return Element.monomial((n,)) * e
 
 
-def _gam(power: int) -> Coeff:
-    return Coeff.gamma_power(2 * power)
+def _q_commutator(f: tuple[str, int], g: tuple[str, int], e: Element) -> Element:
+    """C(f, g) e = q^2 f g e - g f e, for operators named (kind, index):
+    omega(index) of the family kind, or left multiplication x(index) for
+    kind "x"."""
+
+    def act(op: tuple[str, int], v: Element) -> Element:
+        kind, n = op
+        return _x(n, v) if kind == "x" else omega_apply(kind, n, v)
+
+    return act(f, act(g, e)) * Coeff.q_power(4) - act(g, act(f, e))
 
 
 def _residual(relation: str, comps: tuple[int, ...], e: Element) -> Element:
     """LHS - RHS of the named operator identity applied to e, formal gamma.
 
-    The two four-term identities between an annihilation component omega
-    and a left multiplication are one identity in the family's sign s (+1
-    for psi, -1 for phi).  With
+    Each four-term identity is a sum of two q-commutators C (see
+    `_q_commutator`).  With omega the family of sign s (+1 for psi, -1 for
+    phi) and x left multiplication:
 
-        t1 = omega(m) x(n+1) e q^2,  t2 = omega(m+1) x(n) e,
-        t3 = x(n+1) omega(m) e,      t4 = x(n) omega(m+1) e q^2,
+        omega-x:    C(omega(m), x(n+1)) gamma^((1+s)/2)
+                      + C(x(n), omega(m+1)) gamma^((1-s)/2),
+                    less (q^2 - 1) gamma^(s m + (1+s)/2) e when m = -n - 1;
+        omega-omega: C(omega(k+1), omega(l)) + C(omega(l+1), omega(k));
+        serre-x:    -[C(x(k+1), x(l)) + C(x(l+1), x(k))].
 
-    the psi residual is (t1 - t3) gamma - (t2 - t4) and the phi residual is
-    (t1 - t3) - (t2 - t4) gamma, less the delta term (q^2 - 1)
-    gamma^(s m + (1 + s)/2) e when m = -n - 1.  These are the
-    coefficient-extracted forms of the generating-function relations (the
-    commonly printed gamma-free deltas are their gamma = 1 specializations).
+    The omega-x forms are the coefficient-extracted generating-function
+    relations (the commonly printed gamma-free deltas are their gamma = 1
+    specializations).  phi-psi sums psi(k - r) over the delta support of e.
     """
-    q2 = Coeff.q_power(4)
     if relation in ("omegapsi-x", "omegaphi-x"):
         kind = PSI if relation == "omegapsi-x" else PHI
         s, (m, n) = _SIGN[kind], comps
-        left = omega_apply(kind, m, _x(n + 1, e)) * q2 - _x(n + 1, omega_apply(kind, m, e))
-        right = omega_apply(kind, m + 1, _x(n, e)) - _x(n, omega_apply(kind, m + 1, e)) * q2
-        out = left * _gam((1 + s) // 2) - right * _gam((1 - s) // 2)
+        # gamma powers in half units
+        out = _q_commutator((kind, m), ("x", n + 1), e) * Coeff.gamma_power(1 + s)
+        out = out + _q_commutator(("x", n), (kind, m + 1), e) * Coeff.gamma_power(1 - s)
         if m == -n - 1:
-            out = out - e * ((q2 - Coeff.one()) * _gam(s * m + (1 + s) // 2))
+            out = out - e * ((Coeff.q_power(4) - _ONE) * Coeff.gamma_power(2 * s * m + 1 + s))
         return out
-    if relation in ("psi-psi", "phi-phi"):
-        kind = PSI if relation == "psi-psi" else PHI
+    if relation in ("psi-psi", "phi-phi", "serre-x"):
+        kind = {"psi-psi": PSI, "phi-phi": PHI, "serre-x": "x"}[relation]
         k, l = comps
-        return (
-            omega_apply(kind, k + 1, omega_apply(kind, l, e)) * q2
-            - omega_apply(kind, l, omega_apply(kind, k + 1, e))
-            - omega_apply(kind, k, omega_apply(kind, l + 1, e))
-            + omega_apply(kind, l + 1, omega_apply(kind, k, e)) * q2
-        )
+        out = _q_commutator((kind, k + 1), (kind, l), e)
+        out = out + _q_commutator((kind, l + 1), (kind, k), e)
+        return -out if kind == "x" else out
     if relation == "phi-psi":
         k, m = comps
         out = omega_apply(PSI, k, omega_apply(PHI, m, e))
-        # truncation by the delta-support bound: psi(k - r) kills every
-        # monomial of e once k - r < -max(index)
-        rmax = -1
-        for mono, _ in e.items():
-            if mono:
-                rmax = max(rmax, k + max(mono))
-        for r in range(rmax + 1):
-            c = _kernel(-1, r) * _gam(2 * r)
+        for r in range(max((_reach(1, k, mono) for mono in e._terms), default=-1) + 1):
+            c = _kernel(-1, r).gamma_shift(4 * r)
             out = out - omega_apply(PHI, m + r, omega_apply(PSI, k - r, e)) * c
         return out
-    if relation == "serre-x":
-        k, l = comps
-        return (
-            _x(l, _x(k + 1, e))
-            - _x(k + 1, _x(l, e)) * q2
-            - _x(l + 1, _x(k, e)) * q2
-            + _x(k, _x(l + 1, e))
-        )
     raise ValueError(f"unknown relation {relation!r}")
 
 
@@ -249,7 +250,7 @@ def check_kashiwara_relation(
     a witness, so an empty witness list is a pass."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    lo, hi = component_range
+    components = closed_range(component_range)
     domain = enumerate_all(max_length, window)
 
     def residual(case: tuple[int, int, Monomial]) -> str | None:
@@ -258,7 +259,6 @@ def check_kashiwara_relation(
         if not res.is_zero:
             return f"{relation}{(a, b)} on {format_monomial(mono)}: residual {format_element(res)}"
 
-    components = range(lo, hi + 1)
     return Check(relation).run(
         ((a, b, mono) for a in components for b in components for mono in domain), residual
     )

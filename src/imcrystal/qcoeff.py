@@ -223,15 +223,11 @@ class QRat(_Value):
 
     def valuation(self) -> int | float:
         """q-adic valuation in half units; +inf for zero."""
-        return math.inf if self.is_zero else self.shift
+        return Coeff.from_qrat(self).valuation()
 
     def at_zero(self) -> Fraction:
         """Value at q = 0; requires regularity at 0."""
-        if self.is_zero or self.shift > 0:
-            return Fraction(0)
-        if self.shift < 0:
-            raise CoefficientError("pole at q = 0")
-        return self.scale * self.num[0] / self.den[0]
+        return Coeff.from_qrat(self).constant_at_zero()
 
 
 _QRAT_ZERO = QRat(Fraction(0), 0, (1,), (1,))
@@ -660,27 +656,22 @@ def _format_factored(
     return ("-" if scale < 0 else "") + "*".join(factors or ["1"])
 
 
-def _format_laurent_term(pairs: list[tuple[int, int]], d: int, gamma_halfexp: int) -> str:
-    """One gamma term of a Laurent value, given as ascending (e, v) pairs over d.
-    Without gamma it prints as one polynomial; with gamma, sign, content
-    and q-shift are factored out as the QRat form has them."""
-    if gamma_halfexp == 0:
+def _format_term(pairs: list[tuple[int, int]], d: int, D: tuple[int, ...], g: int) -> str:
+    """One gamma term of N / (d * D), given as ascending (e, v) pairs.  D
+    is cancelled first, when it is not `_ONE`; a term still over a
+    polynomial prints in the QRat form.  A Laurent term without gamma
+    prints as one polynomial, and with gamma its sign, content and q-shift
+    are factored out as the QRat form has them."""
+    if D is not _ONE:
+        r = _qrat_term(pairs, d, D)
+        if r.den != _ONE:
+            num, den = ([(i, c) for i, c in enumerate(poly) if c] for poly in (r.num, r.den))
+            return _format_factored(r.scale, r.shift, num, den, g)
+        pairs = [(pairs[0][0] + i, v) for i, v in enumerate(_pquo(_poly(pairs), D)) if v]
+    if g == 0:
         return _format_laurent(pairs if d == 1 else [(e, Fraction(v, d)) for e, v in pairs])
-    c = _content(pairs)
-    shift = pairs[0][0]
-    return _format_factored(
-        Fraction(c, d), shift, [(e - shift, v // c) for e, v in pairs], None, gamma_halfexp
-    )
-
-
-def _format_qrat_term(r: QRat, gamma_halfexp: int) -> str:
-    """One gamma term of a value that is not Laurent."""
-    if r.den == (1,):
-        pairs = [(r.shift + i, r.scale.numerator * c) for i, c in enumerate(r.num) if c]
-        return _format_laurent_term(pairs, r.scale.denominator, gamma_halfexp)
-    num = [(i, c) for i, c in enumerate(r.num) if c]
-    den = [(i, c) for i, c in enumerate(r.den) if c]
-    return _format_factored(r.scale, r.shift, num, den, gamma_halfexp)
+    c, e0 = _content(pairs), pairs[0][0]
+    return _format_factored(Fraction(c, d), e0, [(e - e0, v // c) for e, v in pairs], None, g)
 
 
 def join_signed(texts: list[str]) -> str:
@@ -696,11 +687,7 @@ def format_coeff(c: Coeff) -> str:
     in ascending powers."""
     if c.is_zero:
         return "0"
-    if c._D is _ONE:
-        texts = [_format_laurent_term(pairs, c._d, g) for g, pairs in _by_gamma(c._t).items()]
-    else:
-        texts = [_format_qrat_term(r, g) for g, r in c.items()]
-    return join_signed(texts)
+    return join_signed([_format_term(t, c._d, c._D, g) for g, t in _by_gamma(c._t).items()])
 
 
 def prints_as_sum(c: Coeff) -> bool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .check import Check
+from .check import Check, closed_range
 from .qcoeff import Coeff, _Value, _set
 from .qalgebra import Element, Monomial, _linear_sum, format_element, memo, normalize_word
 from .kashiwara import PSI, _compositions, omega_at_one
@@ -365,9 +365,8 @@ def verify_intertwining(
     operators and with the module actions (K, D, h[k], x+[k]) on every
     sample."""
     name, fn = nu
-    lo, hi = m_range
     operators: list[tuple[str, Callable[[VermaVector], VermaVector]]] = []
-    for m in range(lo, hi + 1):
+    for m in closed_range(m_range):
         operators.append((f"xminus[{m}]", lambda v, m=m: act_xminus(m, v)))
         operators.append((f"omega-psi[{m}]", lambda v, m=m: tilde_omega(m, v)))
         operators.append((f"xplus[{m}]", lambda v, m=m: act_xplus(m, v)))

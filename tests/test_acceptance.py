@@ -48,7 +48,8 @@ def _line(n: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_serre_rewriting_and_confluence():
     exact = normalize_word((0, 1)) == Element({(1, 0): Coeff.q_power(4)})
-    rep = suite_confluence(seed=1729, samples=200, max_length=5, window=(-3, 3))
+    rep = suite_confluence(seed=1729, max_length=5, window=(-3, 3))
+    assert rep.bounds["samples"] == 200
     _line(
         1,
         exact and rep.passed,
@@ -88,7 +89,8 @@ def test_criterion_3_closed_formula_oracle():
 
 
 def test_criterion_4_bilinear_form():
-    rep = suite_form(seed=1729, samples=200, max_length=3, window=(-2, 2))
+    rep = suite_form(seed=1729, max_length=3, window=(-2, 2))
+    assert rep.bounds["samples"] == 200
     frozen = pair(Element.monomial((1, 1)), Element.monomial((1, 1))) == (
         Coeff.one() + Coeff.q_power(4)
     )

@@ -13,7 +13,7 @@ from typing import Iterator
 import pytest
 
 import imcrystal
-from imcrystal.check import Check
+from imcrystal.check import Check, closed_range
 
 SRC = Path(imcrystal.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -41,6 +41,16 @@ class TestRun:
         check = Check("all").run(range(25), str)
         assert check.to_dict()["witnesses"] == [str(n) for n in range(20)]
         assert check.to_dict()["checked"] == 25
+
+
+class TestClosedRange:
+    def test_both_ends_are_included(self):
+        assert list(closed_range((-1, 1))) == [-1, 0, 1]
+        assert list(closed_range((2, 2))) == [2]
+
+    def test_an_inverted_range_raises(self):
+        with pytest.raises(ValueError, match="^empty range 3:-3: need a <= b$"):
+            closed_range((3, -3))
 
 
 class TestFold:

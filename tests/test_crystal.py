@@ -10,7 +10,7 @@ import pytest
 
 from imcrystal import cli, crystal
 from imcrystal.check import Check
-from imcrystal.qcoeff import Coeff
+from imcrystal.qcoeff import Coeff, CoefficientError
 from imcrystal.qalgebra import Element
 from imcrystal.verma import HighestWeight, VermaVector
 from imcrystal.crystal import (
@@ -199,6 +199,11 @@ class TestAxioms:
         )
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    def test_inverted_operator_range_raises(self, lat):
+        # an empty range would pass stability, images and commutation on 0 cases
+        with pytest.raises(ValueError, match="empty range 3:-3: need a <= b"):
+            verify_crystal_axioms(lat, (3, -3))
+
     def test_report_serialization(self):
         lat = LatticeDesc((HighestWeight(1, 0),), 1, (0, 1))
         rep = verify_crystal_axioms(lat, (-1, 1))
@@ -311,6 +316,14 @@ class TestSplit:
         assert witnesses == [] and all(passed(block) for block in blocks)
         assert len(blocks) == 2
 
+    def test_a_gamma_scaled_generator_is_not_a_lattice_vector(self):
+        # lattice coordinates are rational functions of q; gamma is not one
+        lat = LatticeDesc((HighestWeight(1),), 1, (-1, 1))
+        parts = canonical_split(lat)
+        parts[0][0] = parts[0][0] * Coeff.gamma_power(2)
+        with pytest.raises(CoefficientError, match="coefficient carries gamma"):
+            split_converse_check(lat, parts, (-1, 1))
+
     def test_diagonal_control_rejected(self):
         lat = LatticeDesc((HighestWeight(1, 0), HighestWeight(1, 0)), 1, (-1, 1))
         witnesses, blocks = split_converse_check(lat, diagonal_control_split(lat), (-1, 1))
@@ -328,11 +341,15 @@ class TestSplit:
          ["part 1 generator [0] q^2 @ (h=1,d=0): lattice coordinate is not a unit at 0, "
           "so the parts do not sum to L",
           "lattice generator [0]1 not covered by the split"]),
+        (lambda lat, parts: parts[0].__setitem__(0, parts[0][0] * Coeff.q_power(-2)),
+         ["part 1 generator [0] q^-1 @ (h=1,d=0): lattice coordinate is not a unit at 0, "
+          "so the parts do not sum to L",
+          "lattice generator [0]1 not covered by the split"]),
         (lambda lat, parts: parts[0].append(parts[0][0]),
          ["generator for [0]1 covered twice"]),
         (lambda lat, parts: parts[0].pop(0),
          ["lattice generator [0]1 not covered by the split"]),
-    ], ids=["outside-its-summand", "not-a-monomial", "not-a-unit", "covered-twice",
+    ], ids=["outside-its-summand", "not-a-monomial", "not-a-unit", "a-pole", "covered-twice",
             "not-covered"])
     def test_each_broken_hypothesis_has_its_witness(self, break_split, witnesses):
         lat = LatticeDesc((HighestWeight(1), HighestWeight(3)), 1, (-1, 1))

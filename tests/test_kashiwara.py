@@ -78,6 +78,43 @@ def omega_gamma(kind, p, mono):
     return _linear_sum(pieces)
 
 
+def residual_four_terms(relation, comps, e):
+    """The relation residuals with every four-term identity written out term
+    by term, an oracle for the q-commutator form of `kashiwara._residual`.
+    The operators are read from the module at each call, so a patched
+    operator reaches both."""
+    x, omega = kashiwara._x, kashiwara.omega_apply
+    q2, one = Coeff.q_power(4), Coeff.one()
+    gam = Coeff.gamma_power  # in half units of the gamma exponent
+    if relation in ("omegapsi-x", "omegaphi-x"):
+        kind = PSI if relation == "omegapsi-x" else PHI
+        s, (m, n) = (1 if kind == PSI else -1), comps
+        left = omega(kind, m, x(n + 1, e)) * q2 - x(n + 1, omega(kind, m, e))
+        right = omega(kind, m + 1, x(n, e)) - x(n, omega(kind, m + 1, e)) * q2
+        out = left * gam(1 + s) - right * gam(1 - s)
+        if m == -n - 1:
+            out = out - e * ((q2 - one) * gam(2 * s * m + 1 + s))
+        return out
+    if relation in ("psi-psi", "phi-phi"):
+        kind = PSI if relation == "psi-psi" else PHI
+        k, l = comps
+        return (
+            omega(kind, k + 1, omega(kind, l, e)) * q2
+            - omega(kind, l, omega(kind, k + 1, e))
+            - omega(kind, k, omega(kind, l + 1, e))
+            + omega(kind, l + 1, omega(kind, k, e)) * q2
+        )
+    if relation == "phi-psi":
+        k, m = comps
+        out = omega(PSI, k, omega(PHI, m, e))
+        rmax = max((k + max(mono) for mono in e._terms if mono), default=-1)
+        for r in range(rmax + 1):
+            out = out - omega(PHI, m + r, omega(PSI, k - r, e)) * (_kernel(-1, r) * gam(4 * r))
+        return out
+    k, l = comps  # serre-x
+    return x(l, x(k + 1, e)) - x(k + 1, x(l, e)) * q2 - x(l + 1, x(k, e)) * q2 + x(k, x(l + 1, e))
+
+
 HOMOGENEITY_CASES = [
     (kind, p, mono)
     for kind in (PSI, PHI) for mono in enumerate_all(4, (-3, 3)) for p in range(-7, 8)
@@ -248,6 +285,18 @@ class TestInvariants:
 
 
 class TestSupport:
+    @pytest.mark.parametrize("kind", [PSI, PHI])
+    def test_delta_support_is_exact(self, kind):
+        # omega(p - s r) is nonzero on mono at r = _reach and zero past it
+        s = 1 if kind == PSI else -1
+        for mono in enumerate_all(4, (-3, 3)):
+            for p in range(-7, 8):
+                reach = kashiwara._reach(s, p, mono)
+                if reach >= 0:
+                    assert not omega_mono(kind, p - s * reach, mono).is_zero, (p, mono)
+                for r in range(reach + 1, reach + 4):
+                    assert omega_mono(kind, p - s * r, mono).is_zero, (p, r, mono)
+
     def test_psi_kills_below_support(self):
         for mono in enumerate_all(3, (-2, 2)):
             if not mono:
@@ -291,3 +340,27 @@ class TestRelations:
     def test_equal_components_degenerate(self):
         rep = check_kashiwara_relation("psi-psi", (1, 1), max_length=2, window=(-1, 1))
         assert rep.passed
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_inverted_component_range_raises(self, relation):
+        with pytest.raises(ValueError, match="empty range 2:-2: need a <= b"):
+            check_kashiwara_relation(relation, (2, -2))
+
+    def test_q_commutator_form_matches_the_four_term_formulas(self, monkeypatch):
+        # scaling the image of every odd index by q breaks each relation, so
+        # many of the residuals compared are nonzero and carry their signs
+        q, one = Coeff.q_power(2), Coeff.one()
+        x, omega = kashiwara._x, kashiwara.omega_apply
+        monkeypatch.setattr(kashiwara, "_x", lambda n, e: x(n, e) * (q if n % 2 else one))
+        monkeypatch.setattr(
+            kashiwara, "omega_apply", lambda kind, p, e: omega(kind, p, e) * (q if p % 2 else one)
+        )
+        nonzero = dict.fromkeys(RELATIONS, 0)
+        for relation in RELATIONS:
+            for comps in product(range(-2, 3), repeat=2):
+                for mono in enumerate_all(2, (-1, 1)):
+                    e = Element.monomial(mono)
+                    got = kashiwara._residual(relation, comps, e)
+                    assert got == residual_four_terms(relation, comps, e), (relation, comps, mono)
+                    nonzero[relation] += not got.is_zero
+        assert all(nonzero.values()), nonzero

@@ -479,6 +479,12 @@ class TestIntertwining:
             rep = verify_intertwining(projection_map(M, i), sum_samples, (-1, 1))
             assert rep.passed, rep.witnesses[:2]
 
+    def test_inverted_operator_range_raises(self):
+        # an empty range would drop every indexed operator and keep K and D
+        M, _, sum_samples = self._fixtures()
+        with pytest.raises(ValueError, match="empty range 1:-1: need a <= b"):
+            verify_intertwining(component_swap_map(M), sum_samples, (1, -1))
+
     def test_swap_control_fails(self):
         M, _, sum_samples = self._fixtures()
         rep = verify_intertwining(component_swap_map(M), sum_samples, (-1, 1))
